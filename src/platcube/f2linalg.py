@@ -2,9 +2,10 @@
 
 Matrices are stored row-major, 64 columns per uint64 word, with the
 padding bits of the last word kept at zero.  Every operation is pure:
-arguments are never mutated and results are freshly allocated.  Sizes
-here are desk scale (total dimensions in the low thousands), where
-dense word-parallel XOR beats any sparse scheme by a wide margin.
+arguments are never mutated and results are freshly allocated.  Storage
+is dense.  ``matmul`` visits only the set bits of its left operand and
+costs nnz(a)·⌈b.cols/64⌉ word XORs, so squaring a sparse matrix such as
+a cube differential (at most 2 entries per edge per column) is cheap.
 
 Single vectors travel as Python ints with bit j = coordinate j; rows of
 a matrix convert to and from that form via ``row_int`` and
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _WORD = 64
+_STEP_WORDS = 1 << 16  # words of b gathered per matmul step (512 KiB)
 
 
 def _nwords(cols: int) -> int:
@@ -259,17 +261,40 @@ class F2Matrix:
 
 
 def matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
-    """Matrix product over GF(2)."""
+    """Matrix product over GF(2).
+
+    Row i of the product is the XOR of the rows b[k] over the set bits
+    (i, k) of a, so the cost is nnz(a)·⌈b.cols/64⌉ word XORs: the set
+    bits are listed from the nonzero words of a, and the gathered rows
+    of b are XOR-reduced per output row in steps of at most
+    ``_STEP_WORDS`` words.  A row whose terms straddle two steps is
+    simply XORed into twice.
+    """
     if a.cols != b.rows:
         raise ValueError(f"inner dimension mismatch {a.shape} @ {b.shape}")
-    out = np.zeros((a.rows, _nwords(b.cols)), dtype=np.uint64)
-    # accumulate rows of b selected by set bits of each column slice of a
-    for k in range(a.cols):
-        col = (a.words[:, k // _WORD] >> np.uint64(k % _WORD)) & np.uint64(1)
-        sel = col.astype(bool)
-        if sel.any():
-            out[sel] ^= b.words[k]
+    nw = _nwords(b.cols)
+    out = np.zeros((a.rows, nw), dtype=np.uint64)
+    step = max(1, _STEP_WORDS // max(nw, 1))  # terms gathered per step
+    chunk = max(1, _STEP_WORDS // _WORD)  # words of a listed at once: <= _STEP_WORDS terms
+    words = a.words.reshape(-1)
+    flat = np.flatnonzero(words)
+    for w0 in range(0, flat.size, chunk):
+        rows, ks = _set_bits(words, a.words.shape[1], flat[w0 : w0 + chunk])
+        for t0 in range(0, rows.size, step):
+            r, k = rows[t0 : t0 + step], ks[t0 : t0 + step]
+            starts = np.flatnonzero(np.diff(r, prepend=-1))  # first term of each row
+            out[r[starts]] ^= np.bitwise_xor.reduceat(b.words[k], starts, axis=0)
     return F2Matrix(a.rows, b.cols, out)
+
+
+def _set_bits(words: np.ndarray, row_words: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every set bit in the words at the given flat indices
+    of a matrix's raveled words; row-major when the indices ascend.
+    """
+    packed = words[flat].astype("<u8").view(np.uint8).reshape(-1, 8)
+    t, bit = np.nonzero(np.unpackbits(packed, axis=1, bitorder="little"))
+    rows, w = np.divmod(flat[t], row_words)
+    return rows, w * _WORD + bit
 
 
 def _column_bits(words: np.ndarray, col: int) -> np.ndarray:

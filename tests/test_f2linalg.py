@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from platcube import f2linalg
+from platcube.cube import braid_to_twists, build_cube
 from platcube.f2linalg import (
     F2Matrix,
     Subspace,
@@ -23,6 +25,8 @@ from platcube.f2linalg import (
     subspace_intersection,
     subspace_sum,
 )
+from platcube.tangle import parse_braid_word
+from platcube.tqft import assemble_complex
 
 from oracles import dense_kernel, dense_matmul, dense_rank, dense_rref
 
@@ -104,13 +108,41 @@ def test_rref_matches_dense():
         assert rk2 == rk and again == got  # idempotent
 
 
-def test_matmul_matches_dense():
+def test_matmul_matches_dense(monkeypatch):
+    def check(a, b):
+        got = matmul(F2Matrix.from_dense(a), F2Matrix.from_dense(b))
+        assert got.shape == (a.shape[0], b.shape[1])
+        assert np.array_equal(got.to_dense(), dense_matmul(a, b))
+        return got
+
     rng = random.Random(4)
     for _ in range(60):
         n, k, m = rng.randint(1, 30), rng.randint(1, 130), rng.randint(1, 30)
-        a, b = rand_dense(rng, n, k), rand_dense(rng, k, m)
-        got = matmul(F2Matrix.from_dense(a), F2Matrix.from_dense(b))
-        assert np.array_equal(got.to_dense(), dense_matmul(a, b))
+        check(rand_dense(rng, n, k), rand_dense(rng, k, m))
+    # output widths around word boundaries
+    for m in (63, 64, 65, 128, 129):
+        check(rand_dense(rng, 9, 70), rand_dense(rng, 70, m))
+    # bit 63 of a word, and all-ones words, on either side
+    ones = np.ones((5, 128), dtype=np.uint8)
+    edge = np.zeros((128, 129), dtype=np.uint8)
+    edge[63, :] = edge[127, :] = edge[:, 63] = edge[:, 127] = 1
+    check(ones, edge)
+    check(edge.T, np.ones((128, 65), dtype=np.uint8))
+    # all-zero rows of a, among others and throughout
+    a = rand_dense(rng, 12, 80)
+    a[[0, 5, 6, 11]] = 0
+    check(a, rand_dense(rng, 80, 40))
+    assert check(np.zeros((4, 80), dtype=np.uint8), rand_dense(rng, 80, 40)).is_zero()
+    # empty inner dimension k and empty output width m
+    assert check(np.zeros((6, 0), dtype=np.uint8), np.zeros((0, 7), dtype=np.uint8)).is_zero()
+    check(rand_dense(rng, 6, 70), np.zeros((70, 0), dtype=np.uint8))
+    # steps of a few words: every row's terms straddle several steps
+    monkeypatch.setattr(f2linalg, "_STEP_WORDS", 5)
+    check(rand_dense(rng, 7, 130, 0.9), rand_dense(rng, 130, 129))
+    monkeypatch.undo()
+    # a cube differential squares to zero
+    d = assemble_complex(build_cube(braid_to_twists(parse_braid_word("s2 s2 s2 s2 s2", 4)), 4)).d1
+    assert check(d.to_dense(), d.to_dense()).is_zero()
 
 
 def test_kernel_matches_dense():

@@ -109,6 +109,21 @@ def test_verify_d_squared_witness():
         compute_pages(fc)
 
 
+def test_verify_d_squared_lowest_witness():
+    """With several failing columns the witness is the lowest one."""
+    weights = (0, 0, 0, 1, 1, 2, 2)
+    d = np.zeros((7, 7), dtype=np.uint8)
+    for target, source in [(3, 1), (3, 2), (4, 2), (5, 3), (6, 3), (6, 4)]:
+        d[target, source] = 1
+    sq = dense_matmul(d, d)
+    failing = np.flatnonzero(sq.any(axis=0))
+    assert list(failing) == [1, 2]
+    report = verify_d_squared(fc_from_dense(weights, d))
+    assert not report.ok
+    assert report.witness == failing[0]
+    assert report.image == sum(int(b) << i for i, b in enumerate(sq[:, failing[0]]))
+
+
 # -- higher-map loading -----------------------------------------------
 
 
