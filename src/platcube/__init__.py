@@ -25,16 +25,11 @@ from .cube import (
 from .f2linalg import (
     F2Matrix,
     Subspace,
-    image_basis,
     kernel_basis,
     matmul,
-    preimage,
-    quotient_dim,
     rank,
     rref,
     span,
-    subspace_intersection,
-    subspace_sum,
 )
 from .invariants import (
     DoublingResult,
@@ -125,7 +120,6 @@ __all__ = [
     "elementary_tangle",
     "goeritz_data",
     "identity_tangle",
-    "image_basis",
     "kernel_basis",
     "load_higher_maps",
     "matmul",
@@ -133,15 +127,11 @@ __all__ = [
     "multiply",
     "parse_braid_word",
     "parse_plat",
-    "preimage",
-    "quotient_dim",
     "rank",
     "rank_bounds",
     "resolve_twist",
     "rref",
     "span",
-    "subspace_intersection",
-    "subspace_sum",
     "total_homology_dim",
     "verify_d_squared",
     "vertex_tangle",

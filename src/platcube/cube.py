@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tangle import BraidWord, PlatClosure, compose, elementary_tangle
+from .tangle import BraidWord, PlatClosure, _UnionFind, compose, elementary_tangle
 
 __all__ = [
     "IDENTITY",
@@ -164,40 +164,26 @@ def _trace_vertex(ts: TwistSequence, strands: int, plat: PlatClosure, vertex: in
     """Label every segment with the least segment id of its circle."""
     n = strands
     nseg = (len(ts) + 1) * n
-    parent = list(range(nseg))
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
+    uf = _UnionFind(nseg)
     for a, b in plat.cups:
-        union(a, b)
+        uf.union(a, b)
     top = len(ts) * n
     for a, b in plat.caps:
-        union(top + a, top + b)
+        uf.union(top + a, top + b)
     for i, (k, s) in enumerate(ts.twists):
         below = i * n
         above = below + n
         kind = resolve_twist(s, vertex >> i & 1)
         if kind == CUPCAP:
-            union(below + k - 1, below + k)
-            union(above + k - 1, above + k)
+            uf.union(below + k - 1, below + k)
+            uf.union(above + k - 1, above + k)
             for p in range(n):
                 if p != k - 1 and p != k:
-                    union(below + p, above + p)
+                    uf.union(below + p, above + p)
         else:
             for p in range(n):
-                union(below + p, above + p)
-    return [find(x) for x in range(nseg)]
+                uf.union(below + p, above + p)
+    return [uf.find(x) for x in range(nseg)]
 
 
 def build_cube(

@@ -10,6 +10,11 @@ a cube differential (at most 2 entries per edge per column) is cheap.
 Single vectors travel as Python ints with bit j = coordinate j; rows of
 a matrix convert to and from that form via ``row_int`` and
 ``from_int_rows``.
+
+``rref`` is the one elimination loop: ``rank``, ``kernel_basis`` and
+``row_space`` read its result.  ``Echelon`` reduces int vectors against
+rows gathered one at a time, for membership tests and for expressing a
+vector in the rows it was built from.
 """
 
 from __future__ import annotations
@@ -20,19 +25,14 @@ import numpy as np
 
 __all__ = [
     "F2Matrix",
+    "Echelon",
     "Subspace",
     "matmul",
     "rank",
     "rref",
     "kernel_basis",
-    "image_basis",
     "row_space",
     "span",
-    "subspace_sum",
-    "subspace_intersection",
-    "quotient_dim",
-    "preimage",
-    "solve_row_combination",
 ]
 
 _WORD = 64
@@ -329,44 +329,22 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, int, tuple[int, ...]]:
 
 
 def rank(m: F2Matrix) -> int:
-    """Rank over GF(2); forward elimination only."""
-    w = m.words.copy()
-    r = 0
-    for col in range(m.cols):
-        if r >= m.rows:
-            break
-        bits = _column_bits(w, col)
-        cand = np.nonzero(bits[r:])[0]
-        if cand.size == 0:
-            continue
-        p = r + int(cand[0])
-        if p != r:
-            w[[r, p]] = w[[p, r]]
-            bits[[r, p]] = bits[[p, r]]
-        below = bits.copy()
-        below[: r + 1] = False
-        w[below] ^= w[r]
-        r += 1
-    return r
+    """Rank over GF(2)."""
+    return rref(m)[1]
 
 
 def kernel_basis(m: F2Matrix) -> "Subspace":
-    """Right null space {v : m v = 0} as a Subspace of F_2^cols."""
+    """Right null space {v : m v = 0} as a Subspace of F_2^cols.
+
+    Free column f contributes the vector with bit f set and bit p_i set
+    wherever pivot row i of the RREF has a 1 in column f.
+    """
     R, rk, pivots = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    vecs = []
-    for f in free:
-        v = 1 << f
-        for i, p in enumerate(pivots):
-            if R.get(i, f):
-                v |= 1 << p
-        vecs.append(v)
-    return span(vecs, m.cols)
-
-
-def image_basis(m: F2Matrix) -> "Subspace":
-    """Column space of m as a Subspace of F_2^rows."""
-    return row_space(m.transpose())
+    free = np.setdiff1d(np.arange(m.cols), pivots)
+    basis = np.zeros((free.size, m.cols), dtype=np.uint8)
+    basis[np.arange(free.size), free] = 1
+    basis[:, list(pivots)] = R.to_dense()[:rk, free].T
+    return row_space(F2Matrix.from_dense(basis))
 
 
 def row_space(m: F2Matrix) -> "Subspace":
@@ -379,6 +357,41 @@ def span(vectors: Iterable[int], ambient: int) -> "Subspace":
     vecs = list(vectors)
     mat = F2Matrix.from_int_rows(vecs, ambient)
     return row_space(mat)
+
+
+class Echelon:
+    """Independent int-encoded vectors, kept in echelon form as they come.
+
+    Each stored row is clear of the pivots (lowest set bits) of the rows
+    stored before it, so one pass in insertion order reduces a vector to
+    zero exactly when it lies in their span.  Every row also carries the
+    XOR of the tags of the added vectors it is made of, so the same pass
+    expresses a vector of the span in those tags.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, vectors: Iterable[int] = ()):
+        self.rows: list[tuple[int, int, int]] = []  # (pivot bit, row, tag)
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, v: int) -> tuple[int, int]:
+        """(residue, tag): v minus rows of the span, and their tags' XOR."""
+        tag = 0
+        for pivot, row, row_tag in self.rows:
+            if v & pivot:
+                v ^= row
+                tag ^= row_tag
+        return v, tag
+
+    def add(self, v: int, tag: int = 0) -> bool:
+        """Store v under the tag unless it lies in the span; True if stored."""
+        v, used = self.reduce(v)
+        if not v:
+            return False
+        self.rows.append((v & -v, v, tag ^ used))
+        return True
 
 
 class Subspace:
@@ -400,28 +413,12 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.rows
 
-    @classmethod
-    def full(cls, ambient: int) -> "Subspace":
-        return cls(ambient, F2Matrix.identity(ambient))
-
-    @classmethod
-    def zero(cls, ambient: int) -> "Subspace":
-        return cls(ambient, F2Matrix.zeros(0, ambient))
-
     def reduce(self, v: int) -> int:
         """Residue of v after subtracting its projection onto the basis."""
-        for i in range(self.basis.rows):
-            row = self.basis.row_int(i)
-            pivot = row & -row
-            if v & pivot:
-                v ^= row
-        return v
+        return Echelon(self.basis.row_ints()).reduce(v)[0]
 
     def contains(self, v: int) -> bool:
         return self.reduce(v) == 0
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(other.basis.row_int(i)) for i in range(other.dim))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Subspace):
@@ -432,90 +429,3 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient})"
-
-
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient != b.ambient:
-        raise ValueError("ambient mismatch")
-    return row_space(F2Matrix.vstack([a.basis, b.basis]))
-
-
-def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """Zassenhaus: rref [[A|A],[B|0]]; rows with zero left half give it."""
-    if a.ambient != b.ambient:
-        raise ValueError("ambient mismatch")
-    n = a.ambient
-    top = [r | (r << n) for r in a.basis.row_ints()]
-    bot = list(b.basis.row_ints())
-    big = F2Matrix.from_int_rows(top + bot, 2 * n)
-    R, rk, _ = rref(big)
-    mask = (1 << n) - 1
-    vecs = []
-    for i in range(rk):
-        v = R.row_int(i)
-        if (v & mask) == 0:
-            vecs.append(v >> n)
-    return span(vecs, n)
-
-
-def quotient_dim(a: Subspace, b: Subspace) -> int:
-    """dim(a / b); demands b <= a."""
-    if a.ambient != b.ambient:
-        raise ValueError("ambient mismatch")
-    if not a.contains_subspace(b):
-        raise ValueError("quotient_dim: second subspace is not contained in the first")
-    return a.dim - b.dim
-
-
-def preimage(m: F2Matrix, s: Subspace) -> Subspace:
-    """{v : m v in s} as a subspace of the domain F_2^cols.
-
-    Uses the perp of s: over GF(2) the dot-pairing is nondegenerate, so
-    v lies in s exactly when every functional vanishing on s kills m v.
-    """
-    if s.ambient != m.rows:
-        raise ValueError("subspace does not live in the codomain")
-    perp = kernel_basis(s.basis)  # rows are functionals cutting out s
-    if perp.dim == 0:
-        return Subspace.full(m.cols)
-    return kernel_basis(matmul(perp.basis, m))
-
-
-def solve_row_combination(m: F2Matrix, v: int) -> int | None:
-    """Coefficients c (bitmask over rows) with XOR of chosen rows = v.
-
-    Returns None when v is outside the row space.
-    """
-    n = m.cols
-    k = m.rows
-    aug = [m.row_int(i) | (1 << (n + i)) for i in range(k)]
-    work = F2Matrix.from_int_rows(aug, n + k)
-    # eliminate on the first n columns only
-    w = work.words
-    r = 0
-    mask = (1 << n) - 1
-    for col in range(n):
-        if r >= k:
-            break
-        bits = _column_bits(w, col)
-        cand = np.nonzero(bits[r:])[0]
-        if cand.size == 0:
-            continue
-        p = r + int(cand[0])
-        if p != r:
-            w[[r, p]] = w[[p, r]]
-            bits[[r, p]] = bits[[p, r]]
-        bits[r] = False
-        w[bits] ^= w[r]
-        r += 1
-    acc = 0
-    for i in range(r):
-        row = work.row_int(i)
-        left = row & mask
-        if left == 0:
-            continue
-        pivot = left & -left
-        if v & pivot:
-            v ^= left
-            acc ^= row >> n
-    return acc if v == 0 else None

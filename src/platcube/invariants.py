@@ -23,7 +23,7 @@ import numpy as np
 
 from .cube import add_aux_unknot, braid_to_twists, build_cube
 from .specseq import compute_pages
-from .tangle import BraidWord, PlatClosure
+from .tangle import BraidWord, PlatClosure, _UnionFind
 from .tqft import assemble_complex
 
 __all__ = [
@@ -47,32 +47,11 @@ class GoeritzData:
     diagram_components: int
 
 
-class _UF:
-    __slots__ = ("parent",)
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        root = x
-        while p[root] != root:
-            root = p[root]
-        while p[x] != root:
-            p[x], x = root, p[x]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def _diagram_components(b: BraidWord, plat: PlatClosure) -> int:
     """Connected components of the underlying curve of the plat diagram."""
     n = b.strands
     nrows = len(b.letters)
-    uf = _UF((nrows + 1) * n)
+    uf = _UnionFind((nrows + 1) * n)
     for x, y in plat.cups:
         uf.union(x, y)
     top = nrows * n
@@ -113,7 +92,7 @@ def _regions(b: BraidWord, plat: PlatClosure):
     n = b.strands
     nrows = len(b.letters)
     ngaps = n + 1
-    uf = _UF((nrows + 1) * ngaps)
+    uf = _UnionFind((nrows + 1) * ngaps)
 
     for i, (k, _) in enumerate(b.letters):
         below = i * ngaps

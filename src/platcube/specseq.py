@@ -13,7 +13,10 @@ d_r descends from D.  Because weights are sorted, every F_w is a
 coordinate subspace and each page reduces to small eliminations on
 contiguous index windows; quotient classes are handled by projecting to
 the weight-w coordinates, under which the Z_{r-1}^{w+1} part vanishes
-identically and only the boundary term survives.
+identically and only the boundary term survives.  Each window is one
+``kernel_basis`` (hence ``rref``) call; representatives are picked
+greedily from the kernel basis against an ``Echelon`` of the boundary
+rows, and the same ``Echelon`` expresses d_r images in them.
 
 Cube complexes feed in a pure weight-1 differential, for which
 everything collapses no later than E_2; the window machinery exists for
@@ -28,16 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .f2linalg import (
-    F2Matrix,
-    Subspace,
-    kernel_basis,
-    matmul,
-    rank,
-    row_space,
-    rref,
-    span,
-)
+from .f2linalg import Echelon, F2Matrix, kernel_basis, matmul, rank
 
 __all__ = [
     "FilteredComplex",
@@ -241,34 +235,6 @@ class SpectralPages:
         return sum(self.e_infinity.values())
 
 
-class _RowSolver:
-    """Express vectors over a fixed independent row family, many times."""
-
-    def __init__(self, rows: list[int], width: int):
-        self.width = width
-        self.count = len(rows)
-        aug = [row | (1 << (width + i)) for i, row in enumerate(rows)]
-        work = F2Matrix.from_int_rows(aug, width + self.count)
-        reduced, rk, _ = rref(work)
-        if rk != self.count:
-            raise AssertionError("solver rows were not independent")
-        mask = (1 << width) - 1
-        self.pivot_rows = []
-        for i in range(rk):
-            full = reduced.row_int(i)
-            left = full & mask
-            pivot = left & -left
-            self.pivot_rows.append((pivot, left, full >> width))
-
-    def solve(self, v: int) -> int | None:
-        acc = 0
-        for pivot, left, combo in self.pivot_rows:
-            if v & pivot:
-                v ^= left
-                acc ^= combo
-        return acc if v == 0 else None
-
-
 def _page_block_fast(fc: FilteredComplex, block_rank: dict[int, int]):
     """E_2 dims from block ranks alone (pure weight-1 differential)."""
     dims = {}
@@ -281,16 +247,20 @@ def _page_block_fast(fc: FilteredComplex, block_rank: dict[int, int]):
 
 @dataclass
 class _PageLevel:
-    """Representative data of one (r, w) slot in the general path."""
+    """Representative data of one (r, w) slot in the general path.
 
-    reps_pi: list[int]
+    lifts are the kernel vectors whose weight-w projections were picked
+    as representatives.  page holds the boundary rows (tag 0) and then
+    those projections, rep i tagged with bit i, so reducing a vector of
+    Z + B against it yields its class in the page as a bitmask over reps.
+    """
+
     lifts: list[int]
-    boundary: Subspace
+    page: Echelon
     m: int
 
 
 def _general_level(fc: FilteredComplex, d: F2Matrix, r: int, w: int) -> _PageLevel:
-    n = fc.n
     lo_w = fc.low_index(w)
     hi_w = fc.low_index(w + 1)
     m_w = hi_w - lo_w
@@ -303,58 +273,36 @@ def _general_level(fc: FilteredComplex, d: F2Matrix, r: int, w: int) -> _PageLev
     cons = d.submatrix(b_lo, lo_w, b_lo, b_hi)
     bk = kernel_basis(cons)
     out_block = d.submatrix(lo_w, hi_w, b_lo, b_hi)
-    if bk.dim:
-        b_rows = matmul(bk.basis, out_block.transpose())
-        boundary = row_space(b_rows)
-    else:
-        boundary = Subspace.zero(m_w)
+    boundary = matmul(bk.basis, out_block.transpose()).row_ints() if bk.dim else []
+    page = Echelon(boundary)
 
-    reps_pi: list[int] = []
     lifts: list[int] = []
     mask = (1 << m_w) - 1
-    accum = boundary
-    for i in range(zk.dim):
-        kvec = zk.basis.row_int(i)
-        pi = kvec & mask
-        if accum.reduce(pi):
-            reps_pi.append(pi)
+    for kvec in zk.basis.row_ints():
+        if page.add(kvec & mask, 1 << len(lifts)):
             lifts.append(kvec)
-            accum = span(
-                [accum.basis.row_int(j) for j in range(accum.dim)] + [pi], m_w
-            )
-    return _PageLevel(reps_pi, lifts, boundary, m_w)
+    return _PageLevel(lifts, page, m_w)
 
 
 def _general_page(fc: FilteredComplex, d: F2Matrix, dt: F2Matrix, r: int) -> PageData:
     levels = {w: _general_level(fc, d, r, w) for w in fc.weight_values}
-    dims = {w: len(levels[w].reps_pi) for w in fc.weight_values}
+    dims = {w: len(levels[w].lifts) for w in fc.weight_values}
     d_ranks = {}
     d_matrices = {}
     for w in fc.weight_values:
         src = levels[w]
         tgt = levels.get(w + r)
-        rows_out = len(tgt.reps_pi) if tgt else 0
-        mat = F2Matrix.zeros(rows_out, len(src.reps_pi))
-        if tgt and src.reps_pi and tgt.m:
+        rows_out = len(tgt.lifts) if tgt else 0
+        cols = [0] * len(src.lifts)
+        if tgt and tgt.m:
             t_lo = fc.low_index(w + r)
-            t_hi = fc.low_index(w + r + 1)
-            solver_rows = tgt.reps_pi + [
-                tgt.boundary.basis.row_int(i) for i in range(tgt.boundary.dim)
-            ]
-            solver = _RowSolver(solver_rows, tgt.m)
-            cols = []
             src_lo = fc.low_index(w)
-            for lift in src.lifts:
+            for ci, lift in enumerate(src.lifts):
                 x = dt.premultiply_int(lift << src_lo)
-                y = (x >> t_lo) & ((1 << (t_hi - t_lo)) - 1)
-                combo = solver.solve(y)
-                if combo is None:
+                residue, cols[ci] = tgt.page.reduce((x >> t_lo) & ((1 << tgt.m) - 1))
+                if residue:
                     raise AssertionError("page differential image escaped the target page")
-                cols.append(combo & ((1 << rows_out) - 1))
-            for ci, combo in enumerate(cols):
-                for ri in range(rows_out):
-                    if combo >> ri & 1:
-                        mat.words[ri, ci // 64] ^= np.uint64(1) << np.uint64(ci % 64)
+        mat = F2Matrix.from_int_rows(cols, rows_out).transpose()
         d_matrices[w] = mat
         d_ranks[w] = rank(mat)
     return PageData(r, dims, d_ranks, d_matrices)

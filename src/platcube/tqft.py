@@ -18,7 +18,7 @@ per increasing cube edge and raises weight by exactly one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -203,23 +203,10 @@ class ChainComplexF2:
     spaces: dict[int, VertexSpace]
     weights: tuple[int, ...]
     d1: F2Matrix
-    _columns: dict[tuple[int, int], _ColumnMap] = field(repr=False, default_factory=dict)
 
     @property
     def total_dim(self) -> int:
         return self.d1.rows
-
-    def edge_matrix(self, i_vertex: int, j_vertex: int) -> F2Matrix:
-        return self._columns[(i_vertex, j_vertex)].matrix()
-
-    def generator_label(self, index: int) -> tuple[int, int]:
-        """(vertex, basis index) of a global generator."""
-        for vertex in self.order:
-            off = self.offsets[vertex]
-            dim = self.spaces[vertex].dim
-            if off <= index < off + dim:
-                return vertex, index - off
-        raise IndexError(index)
 
     def to_filtered(self) -> FilteredComplex:
         return FilteredComplex(self.weights, {1: self.d1})
@@ -262,7 +249,7 @@ def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainCom
         d1 = F2Matrix.from_coo(total, total, np.concatenate(ri_all), np.concatenate(ci_all))
     else:
         d1 = F2Matrix.zeros(total, total)
-    return ChainComplexF2(cube, order, offsets, spaces, tuple(weights), d1, columns)
+    return ChainComplexF2(cube, order, offsets, spaces, tuple(weights), d1)
 
 
 def _check_faces(cube: ResolutionCube, spaces, columns) -> None:
@@ -275,13 +262,11 @@ def _check_faces(cube: ResolutionCube, spaces, columns) -> None:
                 ja = i_vertex | (1 << a)
                 jb = i_vertex | (1 << b)
                 k_vertex = ja | jb
-                dim_in = spaces[i_vertex].dim
-                dim_out = spaces[k_vertex].dim
                 r1, c1 = _compose_columns(columns[(i_vertex, ja)], columns[(ja, k_vertex)])
                 r2, c2 = _compose_columns(columns[(i_vertex, jb)], columns[(jb, k_vertex)])
-                m1 = F2Matrix.from_coo(dim_out, dim_in, r1, c1)
-                m2 = F2Matrix.from_coo(dim_out, dim_in, r2, c2)
-                if m1 != m2:
+                # the two compositions agree mod 2 iff every entry occurs evenly often
+                keys = np.concatenate([r1, r2]) * spaces[i_vertex].dim + np.concatenate([c1, c2])
+                if (np.bincount(keys) & 1).any():
                     raise ConsistencyError(
                         f"face at vertex {cube.bitstring(i_vertex)} axes {a},{b} does not commute"
                     )

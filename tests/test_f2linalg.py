@@ -3,27 +3,19 @@
 import random
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from platcube import f2linalg
 from platcube.cube import braid_to_twists, build_cube
 from platcube.f2linalg import (
+    Echelon,
     F2Matrix,
-    Subspace,
-    image_basis,
     kernel_basis,
     matmul,
-    preimage,
-    quotient_dim,
     rank,
-    row_space,
     rref,
-    solve_row_combination,
     span,
-    subspace_intersection,
-    subspace_sum,
 )
 from platcube.tangle import parse_braid_word
 from platcube.tqft import assemble_complex
@@ -146,19 +138,33 @@ def test_matmul_matches_dense(monkeypatch):
 
 
 def test_kernel_matches_dense():
-    rng = random.Random(5)
-    for _ in range(60):
-        a = rand_dense(rng, rng.randint(1, 25), rng.randint(1, 80))
+    def check(a):
         m = F2Matrix.from_dense(a)
         ker = kernel_basis(m)
-        assert ker.dim == a.shape[1] - dense_rank(a)
+        assert ker.basis.shape == (a.shape[1] - dense_rank(a), a.shape[1])
         for i in range(ker.dim):
             assert m.apply_int(ker.basis.row_int(i)) == 0
         assert rank(ker.basis) == ker.dim
-        # spans the same space as the dense kernel
+        # spans the same space as the dense kernel, in canonical form
         ref = dense_kernel(a)
         for row in ref:
             assert ker.contains(vec_int(row))
+        assert ker == span((vec_int(row) for row in ref), a.shape[1])
+
+    rng = random.Random(5)
+    for _ in range(60):
+        check(rand_dense(rng, rng.randint(1, 25), rng.randint(1, 80)))
+    # widths around word boundaries
+    for cols in (63, 64, 65, 129):
+        check(rand_dense(rng, 20, cols))
+        check(rand_dense(rng, 70, cols, 0.1))
+    # all-zero: the whole domain; full column rank: nothing
+    check(np.zeros((5, 70), dtype=np.uint8))
+    full = np.vstack([np.eye(65, dtype=np.uint8), rand_dense(rng, 4, 65)])
+    check(full[rng.sample(range(69), 69)])
+    # 0-row and 0-column shapes
+    for shape in ((0, 0), (0, 7), (0, 65), (3, 0)):
+        check(np.zeros(shape, dtype=np.uint8))
 
 
 def test_transpose():
@@ -234,7 +240,6 @@ def test_rank_nullity(seed, rows, cols):
     m = F2Matrix.from_dense(rand_dense(random.Random(seed), rows, cols))
     assert rank(m) + kernel_basis(m).dim == cols
     assert rank(m) == rank(m.transpose())
-    assert image_basis(m).dim == rank(m)
 
 
 # -- subspaces --------------------------------------------------------
@@ -276,68 +281,22 @@ def test_subspace_membership():
         assert s.reduce(out) != 0
 
 
-def test_sum_intersection_dimension_formula():
-    rng = random.Random(13)
-    for _ in range(40):
-        n = rng.randint(1, 70)
-        a = _rand_subspace(rng, n, rng.randint(0, 6))
-        b = _rand_subspace(rng, n, rng.randint(0, 6))
-        tot = subspace_sum(a, b)
-        meet = subspace_intersection(a, b)
-        assert tot.dim + meet.dim == a.dim + b.dim
-        assert tot.contains_subspace(a) and tot.contains_subspace(b)
-        assert a.contains_subspace(meet) and b.contains_subspace(meet)
-
-
-def test_quotient_dim():
-    rng = random.Random(14)
-    a = _rand_subspace(rng, 40, 6)
-    b = _rand_subspace(rng, 40, 3)
-    tot = subspace_sum(a, b)
-    assert quotient_dim(tot, b) == tot.dim - b.dim
-    if not a.contains_subspace(tot) or a != tot:
-        with pytest.raises(ValueError):
-            quotient_dim(b, tot)
-
-
-def test_preimage_characterization():
-    rng = random.Random(15)
-    for _ in range(30):
-        rows, cols = rng.randint(1, 20), rng.randint(1, 40)
-        m = F2Matrix.from_dense(rand_dense(rng, rows, cols))
-        s = _rand_subspace(rng, rows, rng.randint(0, 4))
-        pre = preimage(m, s)
-        # forward: every basis vector of the preimage really maps into s
-        for i in range(pre.dim):
-            assert s.contains(m.apply_int(pre.basis.row_int(i)))
-        # backward: random vectors mapping into s are in the preimage
-        for _ in range(30):
-            v = rng.getrandbits(cols)
-            if s.contains(m.apply_int(v)):
-                assert pre.contains(v)
-            else:
-                assert not pre.contains(v)
-
-
 def test_solve_row_combination():
+    # an Echelon tagged with row indices expresses span vectors in the rows
     rng = random.Random(16)
     for _ in range(30):
         rows, cols = rng.randint(1, 18), rng.randint(1, 60)
         m = F2Matrix.from_dense(rand_dense(rng, rows, cols))
+        ech = Echelon()
+        kept = [ech.add(m.row_int(i), 1 << i) for i in range(rows)]
+        assert sum(kept) == rank(m)
         combo = rng.getrandbits(rows)
         v = m.premultiply_int(combo)
-        c = solve_row_combination(m, v)
-        assert c is not None
+        residue, c = ech.reduce(v)
+        assert residue == 0
         assert m.premultiply_int(c) == v
+        assert not any(c >> i & 1 for i in range(rows) if not kept[i])
         probe = rng.getrandbits(cols)
-        if not row_space(m).contains(probe):
-            assert solve_row_combination(m, probe) is None
-
-
-def test_full_and_zero_subspace():
-    f = Subspace.full(17)
-    z = Subspace.zero(17)
-    assert f.dim == 17 and z.dim == 0
-    assert f.contains_subspace(z)
-    assert subspace_intersection(f, z) == z
-    assert subspace_sum(f, z) == f
+        outside = dense_rank(np.vstack([m.to_dense(), [probe >> j & 1 for j in range(cols)]])) > rank(m)
+        assert (ech.reduce(probe)[0] != 0) == outside
+        assert ech.add(probe) == outside

@@ -219,16 +219,6 @@ def test_d_squared_zero():
         assert matmul(cc.d1, cc.d1).is_zero()
 
 
-def test_generator_labels():
-    cc = assemble_complex(cube_of("s2 s2", 4))
-    for idx in range(cc.total_dim):
-        vertex, local = cc.generator_label(idx)
-        assert cc.offsets[vertex] + local == idx
-        assert 0 <= local < cc.spaces[vertex].dim
-    with pytest.raises(IndexError):
-        cc.generator_label(cc.total_dim)
-
-
 def test_face_check_catches_corruption(monkeypatch):
     """A deliberately tampered edge block must fail the face check."""
     original = tqft._edge_columns
