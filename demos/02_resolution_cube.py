@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Walk the resolution cube of the trefoil plat word s2 s2 s2."""
 
-from platcube.cube import adjacent_cobordism, braid_to_twists, build_cube
+from platcube.cube import braid_to_twists, build_cube
 from platcube.tangle import parse_braid_word
 
 b = parse_braid_word("s2 s2 s2", 4)
@@ -24,7 +24,7 @@ print("\nedges out of 000:")
 for iv, jv in cube.edge_pairs():
     if iv != 0:
         continue
-    cob = adjacent_cobordism(cube, iv, jv)
+    cob = cube.edges[(iv, jv)]
     print(f"  000 -> {cube.bitstring(jv)}: {type(cob).__name__} {cob}")
 
 # circle counts always step by exactly 1 across an edge

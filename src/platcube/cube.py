@@ -24,12 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .tangle import BraidWord, PlatClosure, _UnionFind, compose, elementary_tangle
+from .tangle import BraidWord, PlatClosure, _UnionFind
 
 __all__ = [
     "IDENTITY",
     "CUPCAP",
-    "resolve_twist",
     "TwistSequence",
     "braid_to_twists",
     "CubeVertex",
@@ -37,9 +36,7 @@ __all__ = [
     "Split",
     "ResolutionCube",
     "build_cube",
-    "adjacent_cobordism",
     "add_aux_unknot",
-    "vertex_tangle",
 ]
 
 IDENTITY = "identity"
@@ -148,18 +145,6 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed; signals a bug, not bad input."""
 
 
-def _resolved_kinds(ts: TwistSequence, vertex: int) -> list[str]:
-    return [resolve_twist(s, vertex >> i & 1) for i, (_, s) in enumerate(ts.twists)]
-
-
-def vertex_tangle(ts: TwistSequence, strands: int, vertex: int):
-    """The composite flat tangle of one resolution, built slice by slice."""
-    t = elementary_tangle(IDENTITY, strands)
-    for (k, _), kind in zip(ts.twists, _resolved_kinds(ts, vertex)):
-        t = compose(t, elementary_tangle(kind, strands, k))
-    return t
-
-
 def _trace_vertex(ts: TwistSequence, strands: int, plat: PlatClosure, vertex: int) -> list[int]:
     """Label every segment with the least segment id of its circle."""
     n = strands
@@ -261,16 +246,6 @@ def build_cube(
                     f"edge {i_vertex:#x}->{j_vertex:#x}: {len(active_i)} -> {len(active_j)} active circles"
                 )
     return ResolutionCube(strands, ts, plat, vertices, edges)
-
-
-def adjacent_cobordism(cube: ResolutionCube, i_vertex: int, j_vertex: int) -> Merge | Split:
-    """The merge/split descriptor of an edge; errors on non-adjacent pairs."""
-    diff = i_vertex ^ j_vertex
-    if diff == 0 or diff & (diff - 1) or j_vertex != (i_vertex | diff):
-        raise ValueError(f"vertices {i_vertex} and {j_vertex} are not an increasing edge")
-    if not 0 <= i_vertex < (1 << cube.n):
-        raise ValueError(f"vertex {i_vertex} outside the cube")
-    return cube.edges[(i_vertex, j_vertex)]
 
 
 def add_aux_unknot(strands: int, plat: PlatClosure) -> tuple[int, PlatClosure]:

@@ -11,14 +11,15 @@ Single vectors travel as Python ints with bit j = coordinate j; rows of
 a matrix convert to and from that form via ``row_int`` and
 ``from_int_rows``.
 
-``rref`` is the one elimination loop: ``rank``, ``kernel_basis`` and
-``row_space`` read its result.  ``Echelon`` reduces int vectors against
+``rref`` is the one elimination loop: ``rank`` and ``kernel_basis``
+read its result.  ``Echelon`` reduces int vectors against
 rows gathered one at a time, for membership tests and for expressing a
 vector in the rows it was built from.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,8 +32,6 @@ __all__ = [
     "rank",
     "rref",
     "kernel_basis",
-    "row_space",
-    "span",
 ]
 
 _WORD = 64
@@ -41,14 +40,6 @@ _STEP_WORDS = 1 << 16  # words of b gathered per matmul step (512 KiB)
 
 def _nwords(cols: int) -> int:
     return (cols + _WORD - 1) // _WORD
-
-
-def _popcount_u64(arr: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(arr).astype(np.int64)
-    bytes_ = arr.astype("<u8").view(np.uint8).reshape(arr.shape + (8,))
-    table = np.array([bin(i).count("1") for i in range(256)], dtype=np.int64)
-    return table[bytes_].sum(axis=-1)
 
 
 def _pad_mask(cols: int) -> int:
@@ -74,13 +65,6 @@ class F2Matrix:
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "F2Matrix":
         return cls(rows, cols, np.zeros((rows, _nwords(cols)), dtype=np.uint64))
-
-    @classmethod
-    def identity(cls, n: int) -> "F2Matrix":
-        w = np.zeros((n, _nwords(n)), dtype=np.uint64)
-        idx = np.arange(n)
-        w[idx, idx // _WORD] = np.uint64(1) << (idx % _WORD).astype(np.uint64)
-        return cls(n, n, w)
 
     @classmethod
     def from_dense(cls, arr) -> "F2Matrix":
@@ -109,19 +93,6 @@ class F2Matrix:
         return out
 
     @classmethod
-    def from_bitstrings(cls, lines: Sequence[str]) -> "F2Matrix":
-        """Rows as 0/1 strings; leftmost character is column 0."""
-        if not lines:
-            return cls.zeros(0, 0)
-        cols = len(lines[0])
-        rows = []
-        for s in lines:
-            if len(s) != cols or set(s) - {"0", "1"}:
-                raise ValueError(f"bad bitstring row {s!r}")
-            rows.append([int(ch) for ch in s])
-        return cls.from_dense(rows)
-
-    @classmethod
     def from_coo(cls, rows: int, cols: int, ri, ci) -> "F2Matrix":
         """Build from coordinate lists, entries accumulated mod 2."""
         out = cls.zeros(rows, cols)
@@ -137,9 +108,6 @@ class F2Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def get(self, i: int, j: int) -> int:
-        return int((self.words[i, j // _WORD] >> np.uint64(j % _WORD)) & np.uint64(1))
-
     def row_int(self, i: int) -> int:
         return int.from_bytes(self.words[i].astype("<u8").tobytes(), "little")
 
@@ -152,13 +120,6 @@ class F2Matrix:
         bytes_ = self.words.astype("<u8").view(np.uint8)
         bits = np.unpackbits(bytes_, axis=1, bitorder="little")
         return bits[:, : self.cols]
-
-    def to_bitstrings(self) -> list[str]:
-        dense = self.to_dense()
-        return ["".join("1" if b else "0" for b in row) for row in dense]
-
-    def copy(self) -> "F2Matrix":
-        return F2Matrix(self.rows, self.cols, self.words.copy())
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "F2Matrix":
         """Contiguous block [r0:r1, c0:c1] as a fresh matrix."""
@@ -216,9 +177,6 @@ class F2Matrix:
             raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
         return F2Matrix(self.rows, self.cols, self.words ^ other.words)
 
-    def __matmul__(self, other: "F2Matrix") -> "F2Matrix":
-        return matmul(self, other)
-
     def transpose(self) -> "F2Matrix":
         # chunked so the dense intermediate stays small on big matrices
         out = F2Matrix.zeros(self.cols, self.rows)
@@ -235,29 +193,6 @@ class F2Matrix:
             padded[:, : packed.shape[1]] = packed
             out.words[:, r0 // _WORD : r0 // _WORD + nw] = padded.view("<u8")
         return out
-
-    def apply_int(self, v: int) -> int:
-        """Image of the vector v (bit j = coordinate j) under this matrix.
-
-        Rows act as linear functionals: result bit i = <row i, v>.
-        """
-        if v == 0 or self.rows == 0 or self.cols == 0:
-            return 0
-        vec = F2Matrix.from_int_rows([v], self.cols)
-        acc = np.bitwise_xor.reduce(self.words & vec.words[0], axis=1)
-        parities = (_popcount_u64(acc) & 1).astype(np.uint8)
-        packed = np.packbits(parities, bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
-
-    @classmethod
-    def vstack(cls, mats: Sequence["F2Matrix"]) -> "F2Matrix":
-        if not mats:
-            raise ValueError("vstack of nothing")
-        cols = mats[0].cols
-        if any(m.cols != cols for m in mats):
-            raise ValueError("vstack needs equal column counts")
-        words = np.concatenate([m.words for m in mats], axis=0)
-        return cls(sum(m.rows for m in mats), cols, words)
 
 
 def matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
@@ -304,8 +239,8 @@ def _column_bits(words: np.ndarray, col: int) -> np.ndarray:
 def rref(m: F2Matrix) -> tuple[F2Matrix, int, tuple[int, ...]]:
     """Reduced row echelon form; returns (R, rank, pivot columns).
 
-    Leftmost-pivot, eliminate-above-and-below; this is the canonical
-    form every Subspace basis is kept in.
+    Leftmost-pivot, eliminate-above-and-below, so R is the canonical
+    basis of the row space (padded with zero rows).
     """
     w = m.words.copy()
     pivots = []
@@ -337,26 +272,16 @@ def kernel_basis(m: F2Matrix) -> "Subspace":
     """Right null space {v : m v = 0} as a Subspace of F_2^cols.
 
     Free column f contributes the vector with bit f set and bit p_i set
-    wherever pivot row i of the RREF has a 1 in column f.
+    wherever pivot row i of the RREF has a 1 in column f.  The rows come
+    in ascending order of their free column, and row f is the only one
+    with bit f set, so they are independent.
     """
     R, rk, pivots = rref(m)
     free = np.setdiff1d(np.arange(m.cols), pivots)
     basis = np.zeros((free.size, m.cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
     basis[:, list(pivots)] = R.to_dense()[:rk, free].T
-    return row_space(F2Matrix.from_dense(basis))
-
-
-def row_space(m: F2Matrix) -> "Subspace":
-    R, rk, _ = rref(m)
-    return Subspace(m.cols, F2Matrix(rk, m.cols, R.words[:rk].copy()))
-
-
-def span(vectors: Iterable[int], ambient: int) -> "Subspace":
-    """Subspace spanned by int-encoded vectors."""
-    vecs = list(vectors)
-    mat = F2Matrix.from_int_rows(vecs, ambient)
-    return row_space(mat)
+    return Subspace(F2Matrix.from_dense(basis))
 
 
 class Echelon:
@@ -394,38 +319,12 @@ class Echelon:
         return True
 
 
+@dataclass(frozen=True, eq=False)
 class Subspace:
-    """Subspace of F_2^ambient, basis held in reduced row echelon form.
+    """Subspace of F_2^cols spanned by the independent rows of ``basis``."""
 
-    The RREF basis is canonical, so equality of subspaces is equality
-    of basis matrices.
-    """
-
-    __slots__ = ("ambient", "basis")
-
-    def __init__(self, ambient: int, basis: F2Matrix):
-        if basis.cols != ambient:
-            raise ValueError("basis width does not match ambient dimension")
-        self.ambient = ambient
-        self.basis = basis
+    basis: F2Matrix
 
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def reduce(self, v: int) -> int:
-        """Residue of v after subtracting its projection onto the basis."""
-        return Echelon(self.basis.row_ints()).reduce(v)[0]
-
-    def contains(self, v: int) -> bool:
-        return self.reduce(v) == 0
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient == other.ambient and self.basis == other.basis
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim={self.dim}, ambient={self.ambient})"

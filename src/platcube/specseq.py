@@ -26,12 +26,12 @@ the cube never produces but the formulas tolerate).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .f2linalg import Echelon, F2Matrix, kernel_basis, matmul, rank
+from .f2linalg import Echelon, F2Matrix, _set_bits, kernel_basis, matmul, rank
 
 __all__ = [
     "FilteredComplex",
@@ -42,7 +42,6 @@ __all__ = [
     "PageData",
     "SpectralPages",
     "compute_pages",
-    "total_homology_dim",
     "BoundsReport",
     "rank_bounds",
 ]
@@ -80,8 +79,12 @@ class FilteredComplex:
 
     @cached_property
     def differential(self) -> F2Matrix:
-        total = F2Matrix.zeros(self.n, self.n)
-        for mat in self.components.values():
+        """Sum of the components; a lone component is returned as is."""
+        mats = list(self.components.values())
+        if not mats:
+            return F2Matrix.zeros(self.n, self.n)
+        total = mats[0]
+        for mat in mats[1:]:
             total = total + mat
         return total
 
@@ -108,18 +111,28 @@ class FilteredComplex:
         return 0 in self.components and not self.components[0].is_zero()
 
 
+_SCAN_WORDS = 1 << 14  # nonzero words whose set bits are listed at once
+
+
 def _check_shift(weights, r: int, mat: F2Matrix) -> None:
-    n = len(weights)
+    """Every entry (row, col) must have weight[row] == weight[col] + r.
+
+    One pass over the set bits; a failure names the lowest source weight
+    that has an entry off its target block.
+    """
     arr = np.asarray(weights)
-    for w in sorted(set(weights)):
-        c0 = int(np.searchsorted(arr, w, "left"))
-        c1 = int(np.searchsorted(arr, w, "right"))
-        t0 = int(np.searchsorted(arr, w + r, "left"))
-        t1 = int(np.searchsorted(arr, w + r, "right"))
-        if not mat.submatrix(0, t0, c0, c1).is_zero() or not mat.submatrix(t1, n, c0, c1).is_zero():
-            raise ValueError(
-                f"component {r} has entries off the weight-{w} to weight-{w + r} block"
-            )
+    words = mat.words.reshape(-1)
+    flat = np.flatnonzero(words)
+    lows = []
+    for w0 in range(0, flat.size, _SCAN_WORDS):
+        rows, cols = _set_bits(words, mat.words.shape[1], flat[w0 : w0 + _SCAN_WORDS])
+        src = arr[cols]
+        off = src[arr[rows] != src + r]
+        if off.size:
+            lows.append(int(off.min()))
+    if lows:
+        w = min(lows)
+        raise ValueError(f"component {r} has entries off the weight-{w} to weight-{w + r} block")
 
 
 @dataclass(frozen=True)
@@ -185,12 +198,11 @@ def load_higher_maps(fc: FilteredComplex, table: dict[int, F2Matrix]) -> Filtere
 
 @dataclass(frozen=True, eq=False)
 class PageData:
-    """Dimensions and differentials of one page, keyed by weight."""
+    """Dimensions and differential ranks of one page, keyed by weight."""
 
     r: int
     dims: dict[int, int]
     d_ranks: dict[int, int]
-    d_matrices: dict[int, F2Matrix] = field(repr=False, default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -288,7 +300,6 @@ def _general_page(fc: FilteredComplex, d: F2Matrix, dt: F2Matrix, r: int) -> Pag
     levels = {w: _general_level(fc, d, r, w) for w in fc.weight_values}
     dims = {w: len(levels[w].lifts) for w in fc.weight_values}
     d_ranks = {}
-    d_matrices = {}
     for w in fc.weight_values:
         src = levels[w]
         tgt = levels.get(w + r)
@@ -302,10 +313,9 @@ def _general_page(fc: FilteredComplex, d: F2Matrix, dt: F2Matrix, r: int) -> Pag
                 residue, cols[ci] = tgt.page.reduce((x >> t_lo) & ((1 << tgt.m) - 1))
                 if residue:
                     raise AssertionError("page differential image escaped the target page")
-        mat = F2Matrix.from_int_rows(cols, rows_out).transpose()
-        d_matrices[w] = mat
-        d_ranks[w] = rank(mat)
-    return PageData(r, dims, d_ranks, d_matrices)
+        # rows of this matrix are the columns of d_r; the rank is the same
+        d_ranks[w] = rank(F2Matrix.from_int_rows(cols, rows_out))
+    return PageData(r, dims, d_ranks)
 
 
 def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPages:
@@ -323,7 +333,7 @@ def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPage
         raise ValueError("r_max must be at least 1")
 
     if fc.n == 0:
-        empty = PageData(1, {}, {}, {})
+        empty = PageData(1, {}, {})
         return SpectralPages((empty,), 1, ())
 
     wvals = fc.weight_values
@@ -340,21 +350,14 @@ def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPage
     if pure_d1:
         block_rank: dict[int, int] = {}
         dims1 = {}
-        mats1 = {}
         for w in wvals:
             lo, hi = fc.block_range(w)
             t_lo, t_hi = fc.block_range(w + 1)
-            blk = d.submatrix(t_lo, t_hi, lo, hi)
-            block_rank[w] = rank(blk)
+            block_rank[w] = rank(d.submatrix(t_lo, t_hi, lo, hi))
             dims1[w] = hi - lo
-            mats1[w] = blk
-        pages.append(PageData(1, dims1, dict(block_rank), mats1))
+        pages.append(PageData(1, dims1, dict(block_rank)))
         if stop >= 2:
-            dims2 = _page_block_fast(fc, block_rank)
-            zeros2 = {
-                w: F2Matrix.zeros(dims2.get(w + 2, 0), dims2[w]) for w in wvals
-            }
-            pages.append(PageData(2, dims2, {w: 0 for w in wvals}, zeros2))
+            pages.append(PageData(2, _page_block_fast(fc, block_rank), {w: 0 for w in wvals}))
         if all(v == 0 for v in block_rank.values()):
             stabilization = 1
         else:
@@ -370,21 +373,6 @@ def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPage
             stabilization = None
 
     return SpectralPages(tuple(pages), stabilization, wvals)
-
-
-def total_homology_dim(fc: FilteredComplex) -> int:
-    """dim ker D - dim im D for the total differential."""
-    if fc.n == 0:
-        return 0
-    if not fc.has_weight_zero_part and fc.max_shift <= 1:
-        total_rank = 0
-        for w in fc.weight_values:
-            lo, hi = fc.block_range(w)
-            t_lo, t_hi = fc.block_range(w + 1)
-            total_rank += rank(fc.differential.submatrix(t_lo, t_hi, lo, hi))
-    else:
-        total_rank = rank(fc.differential)
-    return fc.n - 2 * total_rank
 
 
 # -- rank bounds ------------------------------------------------------

@@ -1,15 +1,9 @@
-"""Braid words, plat closures, and crossingless strip tangles.
+"""Braid words and the plat closures that cap them off.
 
-A flat tangle is a crossingless matching of the boundary points of a
-horizontal strip, together with a count of closed circles carried
-along.  Interior isotopy is quotiented away: only the boundary pairing
-and the circle number survive, which is exactly the data the
-circle-counting TQFT downstream consumes.  Boundary points are numbered
-0..bottom-1 along the lower edge and bottom..bottom+top-1 along the
-upper edge, both left to right.
-
-Composition stacks one strip on another, fusing matched interface
-points; closed loops born at the interface increment the circle count.
+A braid word on 2m strands lists its letters s_k^(+-1); a plat closure
+pairs the strand ends below (cups) and above (caps) by planar perfect
+matchings of the positions 0..2m-1.  The standard closure pairs 2i with
+2i+1 on both sides.
 """
 
 from __future__ import annotations
@@ -21,14 +15,8 @@ __all__ = [
     "BraidWord",
     "parse_braid_word",
     "mirror",
-    "FlatTangle",
-    "identity_tangle",
-    "cup_cap_tangle",
-    "elementary_tangle",
-    "compose",
     "PlatClosure",
     "parse_plat",
-    "close_plat",
 ]
 
 
@@ -82,7 +70,7 @@ def mirror(b: BraidWord) -> BraidWord:
     return BraidWord(b.strands, tuple((k, -e) for k, e in reversed(b.letters)))
 
 
-# -- flat tangles -----------------------------------------------------
+# -- planar matchings -------------------------------------------------
 
 
 def _noncrossing(pairs, order) -> bool:
@@ -98,66 +86,6 @@ def _noncrossing(pairs, order) -> bool:
         else:
             stack.append(p)
     return not stack
-
-
-@dataclass(frozen=True)
-class FlatTangle:
-    """Crossingless (bottom, top)-tangle: boundary pairing + circle count."""
-
-    bottom: int
-    top: int
-    pairs: tuple[tuple[int, int], ...]
-    circles: int = 0
-
-    def __post_init__(self):
-        canon = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
-        object.__setattr__(self, "pairs", canon)
-        m = self.bottom + self.top
-        if m % 2:
-            raise ValueError("total boundary point count must be even")
-        if self.circles < 0:
-            raise ValueError("negative circle count")
-        seen = [p for pair in canon for p in pair]
-        if sorted(seen) != list(range(m)):
-            raise ValueError("pairs are not a perfect matching of the boundary")
-        # boundary cycle: along the bottom, then back along the top
-        order = list(range(self.bottom)) + [self.bottom + j for j in reversed(range(self.top))]
-        if not _noncrossing(canon, order):
-            raise ValueError("matching is not planar in the strip")
-
-    def partner(self, p: int) -> int:
-        for a, b in self.pairs:
-            if a == p:
-                return b
-            if b == p:
-                return a
-        raise KeyError(p)
-
-
-def identity_tangle(n: int) -> FlatTangle:
-    return FlatTangle(n, n, tuple((p, n + p) for p in range(n)))
-
-
-def cup_cap_tangle(n: int, k: int) -> FlatTangle:
-    """Cup-cap at 1-based position k: joins strands k,k+1 below and above."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"cup-cap position {k} out of range 1..{n - 1}")
-    pairs = [(k - 1, k), (n + k - 1, n + k)]
-    for p in range(n):
-        if p not in (k - 1, k):
-            pairs.append((p, n + p))
-    return FlatTangle(n, n, tuple(pairs))
-
-
-def elementary_tangle(kind: str, strands: int, k: int | None = None) -> FlatTangle:
-    """Dispatch on the two resolution shapes: "identity" or "cupcap"."""
-    if kind == "identity":
-        return identity_tangle(strands)
-    if kind == "cupcap":
-        if k is None:
-            raise ValueError("cupcap tangle needs a position")
-        return cup_cap_tangle(strands, k)
-    raise ValueError(f"unknown elementary tangle kind {kind!r}")
 
 
 class _UnionFind:
@@ -179,38 +107,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def compose(lower: FlatTangle, upper: FlatTangle) -> FlatTangle:
-    """Stack upper onto lower, fusing the shared interface."""
-    if lower.top != upper.bottom:
-        raise ValueError(
-            f"interface mismatch: lower has {lower.top} top points, upper has {upper.bottom} bottom points"
-        )
-    nb, ni, nt = lower.bottom, lower.top, upper.top
-    # node ids: 0..nb-1 bottom, nb..nb+ni-1 interface, then top
-    uf = _UnionFind(nb + ni + nt)
-    for a, b in lower.pairs:
-        uf.union(a, b)
-    for a, b in upper.pairs:
-        uf.union(nb + a, nb + b)
-
-    ends: dict[int, list[int]] = {}
-    for p in list(range(nb)) + [nb + ni + j for j in range(nt)]:
-        ends.setdefault(uf.find(p), []).append(p)
-    pairs = []
-    for members in ends.values():
-        if len(members) != 2:
-            raise AssertionError("open component without exactly two endpoints")
-        a, b = members
-        a = a if a < nb else a - ni
-        b = b if b < nb else b - ni
-        pairs.append((a, b))
-
-    # interface classes touching no outer point close up into circles
-    outer_roots = set(ends)
-    closed = {uf.find(nb + j) for j in range(ni)} - outer_roots
-    return FlatTangle(nb, nt, tuple(pairs), lower.circles + upper.circles + len(closed))
 
 
 # -- plat closures ----------------------------------------------------
@@ -251,14 +147,6 @@ class PlatClosure:
         pairs = tuple((2 * i, 2 * i + 1) for i in range(strands // 2))
         return cls(pairs, pairs)
 
-    def cup_tangle(self) -> FlatTangle:
-        n = self.strands
-        return FlatTangle(0, n, tuple(self.cups))
-
-    def cap_tangle(self) -> FlatTangle:
-        n = self.strands
-        return FlatTangle(n, 0, tuple(self.caps))
-
 
 def parse_plat(text: str, strands: int) -> PlatClosure:
     """Parse "a-b,c-d/e-f,g-h" (1-based, cups/caps) into a PlatClosure."""
@@ -279,10 +167,3 @@ def parse_plat(text: str, strands: int) -> PlatClosure:
         return tuple(pairs)
 
     return PlatClosure(side(parts[0]), side(parts[1]))
-
-
-def close_plat(t: FlatTangle, plat: PlatClosure) -> FlatTangle:
-    """Close a (n, n)-tangle into a (0, 0) diagram: circles only."""
-    if t.bottom != plat.strands or t.top != plat.strands:
-        raise ValueError("tangle boundary does not match the plat closure")
-    return compose(compose(plat.cup_tangle(), t), plat.cap_tangle())

@@ -5,7 +5,9 @@ sends 1 to 1(x)X + X(x)1 and X to X(x)X.  A cube vertex with c circles
 carries the c-fold tensor power: dimension 2^c, basis states indexed by
 assigning 1 or X to each circle.  A merge edge acts by multiplication
 on its two active circles, a split edge by comultiplication, and both
-act as the identity on every spectator circle.
+act as the identity on every spectator circle.  The algebra is not
+tabulated: ``_edge_columns`` writes these rules straight into the
+sparse columns of each edge block.
 
 Basis order: circles in ascending label order, the first circle most
 significant, and 1 before X in each factor.  So index 0 is all-1s and
@@ -27,57 +29,10 @@ from .f2linalg import F2Matrix
 from .specseq import FilteredComplex
 
 __all__ = [
-    "ONE",
-    "X",
-    "BASIS",
-    "MULT_TABLE",
-    "COMULT_TABLE",
-    "multiply",
-    "comultiply",
     "VertexSpace",
-    "edge_map_matrix",
     "ChainComplexF2",
     "assemble_complex",
 ]
-
-ONE = 0
-X = 1
-BASIS = (ONE, X)
-
-MULT_TABLE = {
-    (ONE, ONE): (ONE,),
-    (ONE, X): (X,),
-    (X, ONE): (X,),
-    (X, X): (),
-}
-
-COMULT_TABLE = {
-    ONE: ((ONE, X), (X, ONE)),
-    X: ((X, X),),
-}
-
-
-def _as_element(a) -> frozenset:
-    if a in BASIS:
-        return frozenset([a])
-    return frozenset(a)
-
-
-def multiply(a, b) -> frozenset:
-    """Product of two algebra elements (sets of basis labels, mod 2)."""
-    out: set = set()
-    for x in _as_element(a):
-        for y in _as_element(b):
-            out ^= set(MULT_TABLE[(x, y)])
-    return frozenset(out)
-
-
-def comultiply(a) -> frozenset:
-    """Coproduct as a set of (left, right) basis pairs, mod 2."""
-    out: set = set()
-    for x in _as_element(a):
-        out ^= set(COMULT_TABLE[x])
-    return frozenset(out)
 
 
 @dataclass(frozen=True)
@@ -94,20 +49,6 @@ class VertexSpace:
         """Bit position of a circle inside a basis index."""
         j = self.circles.index(label)
         return len(self.circles) - 1 - j
-
-    def state_of_index(self, index: int) -> tuple[int, ...]:
-        """Per-circle labels (ONE/X) in circle order."""
-        c = len(self.circles)
-        return tuple((index >> (c - 1 - j)) & 1 for j in range(c))
-
-    def index_of_state(self, state) -> int:
-        c = len(self.circles)
-        idx = 0
-        for j, v in enumerate(state):
-            if v not in BASIS:
-                raise ValueError(f"state entry {v!r} is not a basis label")
-            idx |= v << (c - 1 - j)
-        return idx
 
 
 @dataclass(frozen=True)
@@ -127,10 +68,6 @@ class _ColumnMap:
         ri = np.concatenate([self.out_a[first], self.out_b[second]])
         ci = np.concatenate([cols[first], cols[second]])
         return ri, ci
-
-    def matrix(self) -> F2Matrix:
-        ri, ci = self.coo()
-        return F2Matrix.from_coo(self.dim_out, self.dim_in, ri, ci)
 
 
 def _edge_columns(space_i: VertexSpace, space_j: VertexSpace, cob: Merge | Split) -> _ColumnMap:
@@ -167,14 +104,6 @@ def _edge_columns(space_i: VertexSpace, space_j: VertexSpace, cob: Merge | Split
     out_b = np.where(vc == 0, base | (1 << bit_a), out_a)
     terms = np.where(vc == 0, 2, 1).astype(np.int64)
     return _ColumnMap(space_i.dim, space_j.dim, out_a, out_b, terms)
-
-
-def edge_map_matrix(cube: ResolutionCube, i_vertex: int, j_vertex: int) -> F2Matrix:
-    """The block of the differential attached to one cube edge."""
-    cob = cube.edges[(i_vertex, j_vertex)]
-    si = VertexSpace(cube.vertices[i_vertex].circles)
-    sj = VertexSpace(cube.vertices[j_vertex].circles)
-    return _edge_columns(si, sj, cob).matrix()
 
 
 def _compose_columns(first: _ColumnMap, second: _ColumnMap) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from platcube.cube import add_aux_unknot, braid_to_twists, build_cube
-from platcube.f2linalg import F2Matrix, kernel_basis, matmul, rank, span
+from platcube.f2linalg import F2Matrix, kernel_basis, matmul, rank
 from platcube.invariants import determinant
 from platcube.specseq import FilteredComplex, compute_pages
 from platcube.tangle import BraidWord, PlatClosure, mirror, parse_braid_word
@@ -238,13 +238,12 @@ def test_acceptance_7_linear_algebra_oracles(capsys):
         if not np.array_equal(matmul(fa, fb).to_dense(), dense_matmul(a, b)):
             failures.append(f"matrix {i}: product mismatch")
         ker = kernel_basis(fa)
-        if ker.dim != inner - r or any(fa.apply_int(v) for v in ker.basis.row_ints()):
+        k = ker.basis.to_dense()
+        if ker.dim != inner - r or dense_matmul(a, k.T).any():
             failures.append(f"matrix {i}: kernel wrong")
-        oracle = span(
-            (int(sum(int(bit) << j for j, bit in enumerate(row))) for row in dense_kernel(a)),
-            inner,
-        )
-        if oracle != ker:
+        # same span: both independent, and stacking them adds nothing
+        oracle = dense_kernel(a)
+        if not dense_rank(k) == len(oracle) == dense_rank(np.vstack([k, oracle])) == ker.dim:
             failures.append(f"matrix {i}: kernel span != dense oracle span")
     elapsed = time.perf_counter() - t0
     ok = not failures and elapsed < 30.0

@@ -11,13 +11,11 @@ from platcube.cube import (
     Split,
     TwistSequence,
     add_aux_unknot,
-    adjacent_cobordism,
     braid_to_twists,
     build_cube,
     resolve_twist,
-    vertex_tangle,
 )
-from platcube.tangle import BraidWord, PlatClosure, close_plat, parse_braid_word
+from platcube.tangle import BraidWord, PlatClosure, parse_braid_word
 
 from oracles import KIND_OF_BIT, random_letters, vertex_circles
 
@@ -149,20 +147,6 @@ def test_circle_labels_match_walker():
             assert cube.vertices[v].circles == labels
 
 
-def test_tracer_agrees_with_tangle_composition():
-    """The flat union-find and the compose-chain count the same circles."""
-    rng = random.Random(4)
-    for _ in range(20):
-        strands = rng.choice([2, 4, 6])
-        b = BraidWord(strands, random_letters(rng, strands, rng.randint(0, 5)))
-        ts = braid_to_twists(b)
-        plat = PlatClosure.standard(strands)
-        cube = build_cube(ts, strands, plat)
-        for v in sorted(cube.vertices)[: 2 ** min(len(ts), 4)]:
-            closed = close_plat(vertex_tangle(ts, strands, v), plat)
-            assert closed.circles == cube.circle_count(v)
-
-
 # -- edges ------------------------------------------------------------
 
 
@@ -196,14 +180,6 @@ def test_edge_spectators_keep_labels():
         spect_i = set(cube.vertices[i].circles) - active_i
         spect_j = set(cube.vertices[j].circles) - active_j
         assert spect_i == spect_j
-
-
-def test_adjacent_cobordism_lookup():
-    cube = cube_of("s2 s2", 4)
-    assert adjacent_cobordism(cube, 0b00, 0b01) is cube.edges[(0, 1)]
-    for bad in [(0, 0), (0b01, 0b00), (0b00, 0b11), (0b10, 0b01)]:
-        with pytest.raises(ValueError):
-            adjacent_cobordism(cube, *bad)
 
 
 def test_far_letters_commute():

@@ -15,7 +15,6 @@ from platcube.f2linalg import (
     matmul,
     rank,
     rref,
-    span,
 )
 from platcube.tangle import parse_braid_word
 from platcube.tqft import assemble_complex
@@ -53,12 +52,11 @@ def test_int_rows_roundtrip():
 
 
 def test_bitstring_orientation():
-    # leftmost character of a row string is column 0
-    m = F2Matrix.from_bitstrings(["100", "010"])
-    assert m.get(0, 0) == 1 and m.get(0, 1) == 0 and m.get(0, 2) == 0
-    assert m.get(1, 1) == 1
-    assert m.to_bitstrings() == ["100", "010"]
+    # column j of a dense row is bit j of its int form
+    m = F2Matrix.from_dense([[1, 0, 0], [0, 1, 0]])
     assert m.row_int(0) == 1 and m.row_int(1) == 2
+    assert m == F2Matrix.from_int_rows([1, 2], 3)
+    assert m.to_dense().tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
 def test_coo_parity():
@@ -139,17 +137,14 @@ def test_matmul_matches_dense(monkeypatch):
 
 def test_kernel_matches_dense():
     def check(a):
-        m = F2Matrix.from_dense(a)
-        ker = kernel_basis(m)
+        ker = kernel_basis(F2Matrix.from_dense(a))
+        k = ker.basis.to_dense()
         assert ker.basis.shape == (a.shape[1] - dense_rank(a), a.shape[1])
-        for i in range(ker.dim):
-            assert m.apply_int(ker.basis.row_int(i)) == 0
-        assert rank(ker.basis) == ker.dim
-        # spans the same space as the dense kernel, in canonical form
+        assert not dense_matmul(a, k.T).any()
+        # independent, and spanning the same space as the dense kernel
         ref = dense_kernel(a)
-        for row in ref:
-            assert ker.contains(vec_int(row))
-        assert ker == span((vec_int(row) for row in ref), a.shape[1])
+        assert dense_rank(k) == ker.dim == len(ref)
+        assert dense_rank(np.vstack([k, ref])) == ker.dim
 
     rng = random.Random(5)
     for _ in range(60):
@@ -183,9 +178,6 @@ def test_apply_and_premultiply():
         rows, cols = rng.randint(1, 30), rng.randint(1, 130)
         a = rand_dense(rng, rows, cols)
         m = F2Matrix.from_dense(a)
-        v = rng.getrandbits(cols)
-        vv = np.array([v >> i & 1 for i in range(cols)], dtype=np.uint8)
-        assert m.apply_int(v) == vec_int(a @ vv % 2)
         u = rng.getrandbits(rows)
         uu = np.array([u >> i & 1 for i in range(rows)], dtype=np.uint8)
         assert m.premultiply_int(u) == vec_int(uu @ a % 2)
@@ -209,13 +201,6 @@ def test_submatrix_is_dense_slice(rows, cols, seed, data):
     assert np.array_equal(sub.to_dense(), a[r0:r1, c0:c1])
 
 
-def test_vstack():
-    rng = random.Random(8)
-    parts = [rand_dense(rng, rng.randint(0, 5), 77) for _ in range(4)]
-    m = F2Matrix.vstack([F2Matrix.from_dense(p) for p in parts])
-    assert np.array_equal(m.to_dense(), np.concatenate(parts))
-
-
 def test_add_is_xor():
     rng = random.Random(9)
     a, b = rand_dense(rng, 6, 100), rand_dense(rng, 6, 100)
@@ -227,8 +212,9 @@ def test_identity_neutral():
     rng = random.Random(10)
     a = rand_dense(rng, 20, 20)
     m = F2Matrix.from_dense(a)
-    assert matmul(F2Matrix.identity(20), m) == m
-    assert matmul(m, F2Matrix.identity(20)) == m
+    eye = F2Matrix.from_dense(np.eye(20))
+    assert matmul(eye, m) == m
+    assert matmul(m, eye) == m
 
 
 # -- rank/nullity style properties ------------------------------------
@@ -242,43 +228,21 @@ def test_rank_nullity(seed, rows, cols):
     assert rank(m) == rank(m.transpose())
 
 
-# -- subspaces --------------------------------------------------------
-
-
-def _rand_subspace(rng, ambient, gens):
-    return span([rng.getrandbits(ambient) for _ in range(gens)], ambient)
+# -- row spaces and echelon reduction ---------------------------------
 
 
 def test_subspace_canonical_equality():
+    # a shuffled, xor-mixed set of rows spans the same space: same RREF
     rng = random.Random(11)
     for _ in range(25):
-        n = rng.randint(1, 60)
-        s = _rand_subspace(rng, n, rng.randint(0, 6))
-        # a shuffled, xor-mixed generating set spans the same subspace
-        vecs = [s.basis.row_int(i) for i in range(s.dim)]
-        mixed = list(vecs)
+        m = rand_dense(rng, rng.randint(1, 7), rng.randint(1, 70))
+        mixed = m.copy()
         for _ in range(10):
             if len(mixed) >= 2:
                 i, j = rng.sample(range(len(mixed)), 2)
                 mixed[i] ^= mixed[j]
-        rng.shuffle(mixed)
-        assert span(mixed, n) == s
-
-
-def test_subspace_membership():
-    rng = random.Random(12)
-    n = 50
-    s = _rand_subspace(rng, n, 5)
-    for _ in range(40):
-        picks = [s.basis.row_int(i) for i in range(s.dim) if rng.random() < 0.5]
-        v = 0
-        for p in picks:
-            v ^= p
-        assert s.contains(v)
-        assert s.reduce(v) == 0
-    out = rng.getrandbits(n)
-    if not s.contains(out):
-        assert s.reduce(out) != 0
+        mixed = mixed[rng.sample(range(len(mixed)), len(mixed))]
+        assert rref(F2Matrix.from_dense(mixed))[0] == rref(F2Matrix.from_dense(m))[0]
 
 
 def test_solve_row_combination():

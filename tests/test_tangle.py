@@ -1,25 +1,18 @@
-"""Braid words, flat tangles, and plat closures."""
+"""Braid words, plat closures, and the flat-resolution relations."""
 
-import itertools
 import random
 
 import pytest
 
+from platcube.cube import TwistSequence, build_cube
 from platcube.tangle import (
     BraidWord,
-    FlatTangle,
     PlatClosure,
-    close_plat,
-    compose,
-    cup_cap_tangle,
-    elementary_tangle,
-    identity_tangle,
+    _noncrossing,
     mirror,
     parse_braid_word,
     parse_plat,
 )
-
-from oracles import walk_circles
 
 # -- parsing ----------------------------------------------------------
 
@@ -80,126 +73,118 @@ def test_standard_plat():
         PlatClosure.standard(5)
 
 
-# -- flat tangles -----------------------------------------------------
+# -- planar matchings ------------------------------------------------
 
 
 def test_tangle_canonical_pairs():
-    t = FlatTangle(2, 2, ((3, 1), (2, 0)))
-    assert t.pairs == ((0, 2), (1, 3))
-    assert t.partner(0) == 2 and t.partner(3) == 1
+    p = PlatClosure(((1, 0), (3, 2)), ((2, 1), (3, 0)))
+    assert p.cups == ((0, 1), (2, 3))
+    assert p.caps == ((0, 3), (1, 2))
 
 
 def test_tangle_rejects_crossing():
-    # (0,2),(1,3) on four bottom points crosses in the strip
-    with pytest.raises(ValueError):
-        FlatTangle(4, 0, ((0, 2), (1, 3)))
-    # the nested matching is fine
-    FlatTangle(4, 0, ((0, 3), (1, 2)))
+    # (0,2),(1,3) on four points in a row crosses; the nested matching does not
+    assert not _noncrossing(((0, 2), (1, 3)), range(4))
+    assert _noncrossing(((0, 3), (1, 2)), range(4))
+    with pytest.raises(ValueError, match="not planar"):
+        PlatClosure(((0, 2), (1, 3)), ((0, 1), (2, 3)))
+    with pytest.raises(ValueError, match="not planar"):
+        PlatClosure(((0, 1), (2, 3)), ((0, 2), (1, 3)))
+    PlatClosure(((0, 3), (1, 2)), ((0, 1), (2, 3)))
 
 
 def test_tangle_rejects_bad_matchings():
-    with pytest.raises(ValueError):
-        FlatTangle(3, 0, ((0, 1),))  # odd boundary
-    with pytest.raises(ValueError):
-        FlatTangle(2, 2, ((0, 1), (1, 3)))  # 1 used twice
-    with pytest.raises(ValueError):
-        FlatTangle(2, 0, ((0, 1),), circles=-1)
+    with pytest.raises(ValueError, match="perfect matching"):
+        PlatClosure(((0, 1), (1, 3)), ((0, 1), (2, 3)))  # 1 used twice
+    with pytest.raises(ValueError, match="perfect matching"):
+        PlatClosure(((0, 1), (2, 4)), ((0, 1), (2, 3)))  # 3 skipped
+    with pytest.raises(ValueError, match="perfect matching"):
+        PlatClosure(((0, 1), (2, 3)), ((0, 1),))  # caps for fewer strands
+
+
+# -- flat-resolution relations, read off the resolved cube ------------
+#
+# A twist of sign +1 resolves to the cup-cap e_k at bit 0 and to the
+# identity at bit 1, so the vertices of a cube of positive twists are the
+# products of e_k's, closed by the plat.
+
+
+def _positive(positions):
+    return TwistSequence(tuple((k, 1) for k in positions))
+
+
+def _circles(strands, positions, plat, vertex):
+    return build_cube(_positive(positions), strands, plat).circle_count(vertex)
+
+
+def _plats(strands):
+    nested = tuple((i, strands - 1 - i) for i in range(strands // 2))
+    return [PlatClosure.standard(strands), PlatClosure(nested, PlatClosure.standard(strands).caps)]
 
 
 def test_cup_cap_positions():
-    t = cup_cap_tangle(4, 2)
-    assert (1, 2) in t.pairs and (5, 6) in t.pairs
-    assert (0, 4) in t.pairs and (3, 7) in t.pairs
+    # e_k on 4 strands under the standard plat: e_1 and e_3 close three
+    # circles, e_2 joins everything into one
+    plat = PlatClosure.standard(4)
+    assert [_circles(4, (k,), plat, 0) for k in (1, 2, 3)] == [3, 1, 3]
     with pytest.raises(ValueError):
-        cup_cap_tangle(4, 4)
+        build_cube(_positive((4,)), 4)
     with pytest.raises(ValueError):
-        elementary_tangle("cupcap", 4)
-    with pytest.raises(ValueError):
-        elementary_tangle("braid", 4, 1)
-
-
-# -- composition ------------------------------------------------------
-
-
-def test_compose_interface_mismatch():
-    with pytest.raises(ValueError):
-        compose(identity_tangle(4), identity_tangle(6))
+        _positive((0,))
 
 
 def test_identity_neutral():
-    rng = random.Random(0)
+    # a twist resolved to the identity can be dropped from the word
+    rng = random.Random(1)
     for _ in range(20):
         n = rng.choice([2, 4, 6])
-        t = identity_tangle(n)
-        for _ in range(rng.randint(1, 4)):
-            t = compose(t, elementary_tangle("cupcap", n, rng.randint(1, n - 1)))
-        assert compose(identity_tangle(n), t) == t
-        assert compose(t, identity_tangle(n)) == t
+        word = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(1, 5)))
+        plat = rng.choice(_plats(n))
+        i = rng.randrange(len(word))
+        full = build_cube(_positive(word), n, plat)
+        short = build_cube(_positive(word[:i] + word[i + 1 :]), n, plat)
+        for v in short.vertices:
+            with_identity = v & ((1 << i) - 1) | 1 << i | v >> i << (i + 1)
+            assert full.circle_count(with_identity) == short.circle_count(v)
 
 
 def test_delooping_relation():
     # e_k e_k = circle + e_k
-    for n, k in [(2, 1), (4, 2), (6, 3)]:
-        e = cup_cap_tangle(n, k)
-        ee = compose(e, e)
-        assert ee.pairs == e.pairs
-        assert ee.circles == 1
+    for n, k in [(2, 1), (4, 2), (6, 3), (6, 5)]:
+        for plat in _plats(n):
+            both = _circles(n, (k, k), plat, 0b00)
+            assert both == _circles(n, (k, k), plat, 0b10) + 1
+            assert both == _circles(n, (k, k), plat, 0b01) + 1
 
 
 def test_jones_projector_relation():
-    # e_k e_{k+1} e_k = e_k, no circle
+    # e_k e_{k+-1} e_k = e_k, no circle
     for n, k in [(4, 1), (4, 2), (6, 3)]:
         for other in (k - 1, k + 1):
             if not 1 <= other <= n - 1:
                 continue
-            e = cup_cap_tangle(n, k)
-            res = compose(compose(e, cup_cap_tangle(n, other)), e)
-            assert res == e
-            assert res.circles == 0
+            for plat in _plats(n):
+                word = (k, other, k)
+                assert _circles(n, word, plat, 0b000) == _circles(n, word, plat, 0b110)
 
 
 def test_far_commutation():
-    e1 = cup_cap_tangle(6, 1)
-    e4 = cup_cap_tangle(6, 4)
-    assert compose(e1, e4) == compose(e4, e1)
-
-
-def test_compose_associative_exhaustive():
-    """All triples of elementary 4-strand tangles associate."""
-    tangles = [identity_tangle(4)] + [cup_cap_tangle(4, k) for k in (1, 2, 3)]
-    for a, b, c in itertools.product(tangles, repeat=3):
-        left = compose(compose(a, b), c)
-        right = compose(a, compose(b, c))
-        assert left == right
-
-
-def test_compose_counts_circles_like_the_walker():
-    """Random cup-cap stacks closed by a plat, against the arc walker."""
-    rng = random.Random(1)
-    for _ in range(60):
-        n = rng.choice([2, 4, 6, 8])
-        depth = rng.randint(0, 7)
-        kinds, positions = [], []
-        for _ in range(depth):
-            kinds.append(rng.choice(["identity", "cupcap"]))
-            positions.append(rng.randint(1, n - 1))
-        plat = PlatClosure.standard(n)
-
-        t = identity_tangle(n)
-        for kind, k in zip(kinds, positions):
-            t = compose(t, elementary_tangle(kind, n, k))
-        closed = close_plat(t, plat)
-        assert closed.bottom == closed.top == 0 and closed.pairs == ()
-
-        reference = walk_circles(n, kinds, positions, plat.cups, plat.caps)
-        assert closed.circles == len(reference)
-
-
-def test_close_plat_boundary_check():
-    with pytest.raises(ValueError):
-        close_plat(identity_tangle(4), PlatClosure.standard(6))
+    # swapping two far-apart letters swaps the two bits of every vertex
+    rng = random.Random(0)
+    for _ in range(10):
+        n = 6
+        prefix = tuple(rng.randint(1, n - 1) for _ in range(rng.randint(0, 3)))
+        for plat in _plats(n):
+            a = build_cube(_positive(prefix + (1, 4)), n, plat)
+            b = build_cube(_positive(prefix + (4, 1)), n, plat)
+            i, j = len(prefix), len(prefix) + 1
+            for v in a.vertices:
+                swapped = v & ~(1 << i | 1 << j) | (v >> i & 1) << j | (v >> j & 1) << i
+                assert a.circle_count(v) == b.circle_count(swapped)
 
 
 def test_unknot_closure():
-    closed = close_plat(identity_tangle(2), PlatClosure.standard(2))
-    assert closed.circles == 1
+    # the plat closure of the trivial braid on 2m strands has m circles
+    for n in (2, 4, 6):
+        cube = build_cube(TwistSequence(()), n)
+        assert cube.circle_count(0) == n // 2

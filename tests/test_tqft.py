@@ -1,94 +1,93 @@
 """Frobenius-algebra edge maps and the assembled cube differential."""
 
 import random
-from itertools import product
 
 import numpy as np
 import pytest
 
 import platcube.tqft as tqft
-from platcube.cube import ConsistencyError, Merge, braid_to_twists, build_cube
+from platcube.cube import ConsistencyError, Merge, Split, braid_to_twists, build_cube
 from platcube.f2linalg import F2Matrix, matmul, rank
 from platcube.tangle import BraidWord, parse_braid_word
-from platcube.tqft import (
-    BASIS,
-    COMULT_TABLE,
-    MULT_TABLE,
-    ONE,
-    X,
-    VertexSpace,
-    assemble_complex,
-    comultiply,
-    edge_map_matrix,
-    multiply,
-)
+from platcube.tqft import VertexSpace, assemble_complex
 
-from oracles import dense_rank, naive_cube_complex, random_letters
-
-ELEMENTS = [frozenset(), frozenset([ONE]), frozenset([X]), frozenset([ONE, X])]
+from oracles import COMUL, MUL, dense_matmul, dense_rank, naive_cube_complex, random_letters
 
 
 def cube_of(word, strands):
     return build_cube(braid_to_twists(parse_braid_word(word, strands)), strands)
 
 
-# -- the algebra ------------------------------------------------------
+def block(circles_in, circles_out, cob) -> F2Matrix:
+    """One edge block, built from the sparse columns assembly uses."""
+    si, sj = VertexSpace(circles_in), VertexSpace(circles_out)
+    ri, ci = tqft._edge_columns(si, sj, cob).coo()
+    return F2Matrix.from_coo(sj.dim, si.dim, ri, ci)
+
+
+def edge_matrix(cube, i, j) -> F2Matrix:
+    return block(cube.vertices[i].circles, cube.vertices[j].circles, cube.edges[(i, j)])
+
+
+def alg(circles_in, circles_out, cob) -> np.ndarray:
+    return block(circles_in, circles_out, cob).to_dense()
+
+
+# -- the algebra, as the edge maps apply it ---------------------------
+#
+# Basis 1 = 0 and X = 1 per circle, the first circle most significant:
+# on two circles the columns are 1(x)1, 1(x)X, X(x)1, X(x)X.
+
+MERGE = alg((0, 5), (0,), Merge((0, 5), 0))
+SPLIT = alg((0,), (0, 5), Split(0, (0, 5)))
 
 
 def test_multiplication_table():
-    assert multiply(ONE, ONE) == {ONE}
-    assert multiply(ONE, X) == {X} == multiply(X, ONE)
-    assert multiply(X, X) == frozenset()  # X^2 = 0
+    # 1.1 = 1, 1.X = X.1 = X, X.X = 0
+    assert MERGE.tolist() == [[1, 0, 0, 0], [0, 1, 1, 0]]
 
 
 def test_comultiplication_table():
-    assert comultiply(ONE) == {(ONE, X), (X, ONE)}
-    assert comultiply(X) == {(X, X)}
+    # 1 -> 1(x)X + X(x)1, X -> X(x)X
+    assert SPLIT.tolist() == [[0, 0], [1, 0], [1, 0], [0, 1]]
 
 
 def test_multiply_commutative_associative():
-    for a, b in product(ELEMENTS, repeat=2):
-        assert multiply(a, b) == multiply(b, a)
-    for a, b, c in product(ELEMENTS, repeat=3):
-        assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+    swap = [0, 2, 1, 3]  # a(x)b -> b(x)a on two circles
+    assert np.array_equal(MERGE[:, swap], MERGE)
+    # (ab)c and a(bc) on circles 0, 5, 9
+    left = dense_matmul(alg((0, 9), (0,), Merge((0, 9), 0)), alg((0, 5, 9), (0, 9), Merge((0, 5), 0)))
+    right = dense_matmul(alg((0, 5), (0,), Merge((0, 5), 0)), alg((0, 5, 9), (0, 5), Merge((5, 9), 5)))
+    assert np.array_equal(left, right)
 
 
 def test_unit_and_linearity():
-    for a in ELEMENTS:
-        assert multiply(ONE, a) == a
-    # multiply is bilinear over the set representation by construction;
-    # spot-check the one nontrivial cancellation
-    assert multiply(frozenset([ONE, X]), frozenset([ONE, X])) == {ONE}  # 1+2X+X^2
-
-
-def _comult_pairs(a):
-    return comultiply(a)
+    # merging with a circle labelled 1 is the identity on the other circle
+    assert MERGE[:, :2].tolist() == [[1, 0], [0, 1]]
+    # (1+X)(1+X) = 1 + 2X + X^2 = 1: the sum of all four columns
+    assert (MERGE.sum(axis=1) % 2).tolist() == [1, 0]
 
 
 def test_coassociativity():
-    for a in ELEMENTS:
-        left: set = set()
-        for l, r in _comult_pairs(a):
-            for l2, r2 in comultiply(l):
-                left ^= {(l2, r2, r)}
-        right: set = set()
-        for l, r in _comult_pairs(a):
-            for l2, r2 in comultiply(r):
-                right ^= {(l, l2, r2)}
-        assert left == right
+    # (Delta (x) 1) Delta and (1 (x) Delta) Delta, from circle 0 to 0, 3, 5
+    left = dense_matmul(alg((0, 5), (0, 3, 5), Split(0, (0, 3))), SPLIT)
+    right = dense_matmul(
+        alg((0, 3), (0, 3, 5), Split(3, (3, 5))), alg((0,), (0, 3), Split(0, (0, 3)))
+    )
+    assert np.array_equal(left, right)
 
 
 def test_frobenius_compatibility():
-    # Delta(a.b) = (a (x) 1) . Delta(b), both as pair sets
-    for a, b in product(BASIS, repeat=2):
-        left: set = set()
-        for m in multiply(a, b):
-            left ^= set(comultiply(m))
-        right: set = set()
-        for l, r in comultiply(b):
-            for m in multiply(a, l):
-                right ^= {(m, r)}
-        assert left == right
+    # Delta m = (m (x) 1)(1 (x) Delta) = (1 (x) m)(Delta (x) 1) on circles 0, 5
+    middle = dense_matmul(SPLIT, MERGE)
+    via_right = dense_matmul(
+        alg((0, 3, 5), (0, 5), Merge((0, 3), 0)), alg((0, 5), (0, 3, 5), Split(5, (3, 5)))
+    )
+    via_left = dense_matmul(
+        alg((0, 3, 5), (0, 5), Merge((3, 5), 5)), alg((0, 5), (0, 3, 5), Split(0, (0, 3)))
+    )
+    assert np.array_equal(middle, via_right)
+    assert np.array_equal(middle, via_left)
 
 
 # -- vertex spaces ----------------------------------------------------
@@ -98,45 +97,36 @@ def test_vertex_space_indexing():
     s = VertexSpace((3, 7))
     assert s.dim == 4
     # first circle most significant: order 11, 1X, X1, XX
-    assert s.state_of_index(0) == (ONE, ONE)
-    assert s.state_of_index(1) == (ONE, X)
-    assert s.state_of_index(2) == (X, ONE)
-    assert s.state_of_index(3) == (X, X)
-    for idx in range(4):
-        assert s.index_of_state(s.state_of_index(idx)) == idx
     assert s.bit_of(3) == 1 and s.bit_of(7) == 0
     with pytest.raises(ValueError):
-        s.index_of_state((ONE, 2))
+        s.bit_of(5)
 
 
 def test_empty_vertex_space():
-    s = VertexSpace(())
-    assert s.dim == 1
-    assert s.state_of_index(0) == ()
+    assert VertexSpace(()).dim == 1
 
 
 # -- edge matrices ----------------------------------------------------
 
 
 def naive_edge_matrix(cube, i, j):
-    """Rebuild one block scalar-by-scalar from the tables."""
+    """Rebuild one block scalar-by-scalar from the oracle's tables."""
     cob = cube.edges[(i, j)]
-    si = VertexSpace(cube.vertices[i].circles)
-    sj = VertexSpace(cube.vertices[j].circles)
-    dense = [[0] * si.dim for _ in range(sj.dim)]
-    for col in range(si.dim):
-        state = dict(zip(si.circles, si.state_of_index(col)))
+    ci, cj = cube.vertices[i].circles, cube.vertices[j].circles
+    dense = [[0] * (1 << len(ci)) for _ in range(1 << len(cj))]
+    for col in range(1 << len(ci)):
+        state = {c: col >> (len(ci) - 1 - t) & 1 for t, c in enumerate(ci)}
         if isinstance(cob, Merge):
-            outs = [{cob.target: m} for m in MULT_TABLE[(state[cob.sources[0]], state[cob.sources[1]])]]
+            outs = [{cob.target: m[0]} for m in MUL[(state[cob.sources[0]], state[cob.sources[1]])]]
             gone = set(cob.sources)
         else:
             a, b = cob.targets
-            outs = [{a: l, b: r} for l, r in COMULT_TABLE[state[cob.source]]]
+            outs = [{a: l, b: r} for l, r in COMUL[state[cob.source]]]
             gone = {cob.source}
         for out in outs:
             full = {c: v for c, v in state.items() if c not in gone}
             full.update(out)
-            row = sj.index_of_state(tuple(full[c] for c in sj.circles))
+            row = sum(full[c] << (len(cj) - 1 - t) for t, c in enumerate(cj))
             dense[row][col] ^= 1
     return F2Matrix.from_dense(dense)
 
@@ -147,20 +137,20 @@ def test_edge_matrices_match_tables():
     for word in words:
         cube = cube_of(word, 4)
         for i, j in cube.edge_pairs():
-            assert edge_map_matrix(cube, i, j) == naive_edge_matrix(cube, i, j)
+            assert edge_matrix(cube, i, j) == naive_edge_matrix(cube, i, j)
     for _ in range(6):
         strands = rng.choice([4, 6])
         b = BraidWord(strands, random_letters(rng, strands, rng.randint(1, 5)))
         cube = build_cube(braid_to_twists(b), strands)
         for i, j in cube.edge_pairs():
-            assert edge_map_matrix(cube, i, j) == naive_edge_matrix(cube, i, j)
+            assert edge_matrix(cube, i, j) == naive_edge_matrix(cube, i, j)
 
 
 def test_edge_columns_are_sparse():
     # merge: one output unless both inputs are X; split: two unless X
     cube = cube_of("s2 s2 s2", 4)
     for i, j in cube.edge_pairs():
-        m = edge_map_matrix(cube, i, j).to_dense()
+        m = edge_matrix(cube, i, j).to_dense()
         col_sums = m.sum(axis=0)
         assert set(col_sums.tolist()) <= {0, 1, 2}
 
@@ -173,7 +163,7 @@ def test_spectators_tensor_factor():
         sj = VertexSpace(cube.vertices[j].circles)
         active = set(cob.sources) if isinstance(cob, Merge) else {cob.source}
         spectators = [c for c in si.circles if c not in active]
-        m = edge_map_matrix(cube, i, j).to_dense()
+        m = edge_matrix(cube, i, j).to_dense()
         for spect in spectators:
             bi, bo = si.bit_of(spect), sj.bit_of(spect)
             for col in range(si.dim):
