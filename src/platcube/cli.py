@@ -13,6 +13,7 @@ face), the latter with a witness dump on stderr.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import random
 import sys
@@ -26,6 +27,17 @@ from .tangle import BraidWord, PlatClosure, mirror, parse_braid_word, parse_plat
 from .tqft import ChainComplexF2, assemble_complex
 
 SCHEMA_VERSION = 1
+
+# glibc raises its mmap threshold to the size of each large block it frees
+# (up to 32 MiB), so after a big run the next runs' arrays come from the
+# heap, and freed heap pages mostly stay mapped.  How much stays then
+# depends on which runs came before, and with it the peak memory of a
+# process that calls main() repeatedly.  malloc_trim(0) hands the free
+# pages back; other C libraries have no such call and are left alone.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,6 +344,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)  # the run's matrices are freed by now
 
     if ns.json:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))

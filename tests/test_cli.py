@@ -249,3 +249,39 @@ def test_console_script_runs():
     assert proc.returncode == 0, proc.stderr
     rep = json.loads(proc.stdout)
     assert rep["e2"]["total"] == 6
+
+
+# A run whose arrays raise glibc's mmap threshold: without malloc_trim the
+# process keeps ~14 MB of freed heap after it, with it ~2 MB.
+_HELD_AFTER_RUN = """
+import contextlib, io, sys
+from platcube.cli import main
+
+def rss_mb():
+    with open("/proc/self/status") as f:
+        return next(int(l.split()[1]) for l in f if l.startswith("VmRSS:")) / 1024
+
+def quiet(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+
+quiet(["--strands", "4", "--word", "s2 s2 s2"])
+before = rss_mb()
+quiet(["--strands", "6", "--word", "s1 s3 s5 s2 s4 s1 s3 s5", "--json"])
+print(rss_mb() - before)
+"""
+
+
+def test_main_returns_freed_memory():
+    from platcube import cli
+
+    if cli._malloc_trim is None or not Path("/proc/self/status").is_file():
+        pytest.skip("needs glibc's malloc_trim and /proc")
+    env = dict(os.environ)
+    package_root = str(Path(platcube.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [package_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _HELD_AFTER_RUN], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 5.0
