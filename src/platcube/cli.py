@@ -18,6 +18,7 @@ import json
 import random
 import sys
 import time
+from collections import Counter
 
 from .cube import ConsistencyError, add_aux_unknot, braid_to_twists, build_cube
 from .f2linalg import F2Matrix
@@ -64,20 +65,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[int, F2Matrix]:
-    """Parse the whitespace-delimited block table into global matrices.
+def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int], F2Matrix]:
+    """Parse the whitespace-delimited block table into weight blocks.
 
     Record: shift r, source and target vertex bitstrings, then one 0/1
     row string per target basis vector (leftmost character is column 0
-    of the block).  '#' starts a comment running to end of line.
+    of the block).  '#' starts a comment running to end of line.  The
+    result is keyed (r, source weight) like ``FilteredComplex.blocks``.
     """
     tokens = []
     for line in text.splitlines():
         body = line.split("#", 1)[0]
         tokens.extend(body.split())
     n_twists = cc.cube.n
-    total = cc.total_dim
-    coords: dict[int, tuple[list[int], list[int]]] = {}
+    size = Counter(cc.weights)
+    coords: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     pos = 0
 
     def take(what: str) -> str:
@@ -110,7 +112,7 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[int, F2Matrix]
             )
         rows = cc.spaces[tgt].dim
         cols = cc.spaces[src].dim
-        ri, ci = coords.setdefault(r, ([], []))
+        ri, ci = coords.setdefault((r, cc.cube.weight(src)), ([], []))
         for q in range(rows):
             row = take(f"row {q} of block {src_bits}->{tgt_bits}")
             if len(row) != cols or set(row) - {"0", "1"}:
@@ -122,7 +124,8 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[int, F2Matrix]
                     ri.append(cc.offsets[tgt] + q)
                     ci.append(cc.offsets[src] + p)
     return {
-        r: F2Matrix.from_coo(total, total, ri, ci) for r, (ri, ci) in sorted(coords.items())
+        (r, w): F2Matrix.from_coo(size[w + r], size[w], ri, ci)
+        for (r, w), (ri, ci) in sorted(coords.items())
     }
 
 

@@ -18,14 +18,15 @@ identically and only the boundary term survives.  Each window is one
 greedily from the kernel basis against an ``Echelon`` of the boundary
 rows, and the same ``Echelon`` expresses d_r images in them.
 
-Cube complexes feed in a pure weight-1 differential, for which
-everything collapses no later than E_2; the window machinery exists for
-externally supplied higher components (and for a weight-0 piece, which
-the cube never produces but the formulas tolerate).
+D is stored as one block per shift r >= 1 and source weight w.  Cube
+complexes feed in a pure weight-1 differential: everything collapses no
+later than E_2 and the pages are block ranks.  The n-by-n matrix is
+built only for the windows, which exist for externally supplied blocks.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,29 +50,26 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class FilteredComplex:
-    """Weight-filtered complex: sorted generator weights + shift components.
+    """Weight-filtered complex: sorted generator weights + blocks of D.
 
-    components maps shift r >= 0 to an n-by-n matrix whose (row, col)
-    entries satisfy weight[row] == weight[col] + r.  Rows index targets.
+    blocks maps (r, w), a shift r >= 1 and a source weight w, to the
+    block of D from the weight-w generators to the weight-(w + r) ones.
+    Rows index targets, columns sources, each in generator order.
     """
 
     weights: tuple[int, ...]
-    components: dict[int, F2Matrix]
-    labels: tuple | None = None
+    blocks: dict[tuple[int, int], F2Matrix]
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        n = len(self.weights)
         if any(a > b for a, b in zip(self.weights, self.weights[1:])):
             raise ValueError("generator weights must be sorted ascending")
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError("labels length does not match generator count")
-        for r, mat in self.components.items():
-            if not isinstance(r, int) or r < 0:
-                raise ValueError(f"component shift {r!r} must be a nonnegative integer")
-            if mat.shape != (n, n):
-                raise ValueError(f"component {r} has shape {mat.shape}, expected {(n, n)}")
-            _check_shift(self.weights, r, mat)
+        for (r, w), mat in self.blocks.items():
+            if not isinstance(r, int) or not isinstance(w, int) or r < 1:
+                raise ValueError(f"block key {(r, w)!r} must be integers (shift >= 1, source weight)")
+            (lo, hi), (t_lo, t_hi) = self.block_range(w), self.block_range(w + r)
+            if mat.shape != (t_hi - t_lo, hi - lo):
+                raise ValueError(f"block {(r, w)} has shape {mat.shape}, expected {(t_hi - t_lo, hi - lo)}")
 
     @property
     def n(self) -> int:
@@ -79,14 +77,14 @@ class FilteredComplex:
 
     @cached_property
     def differential(self) -> F2Matrix:
-        """Sum of the components; a lone component is returned as is."""
-        mats = list(self.components.values())
-        if not mats:
-            return F2Matrix.zeros(self.n, self.n)
-        total = mats[0]
-        for mat in mats[1:]:
-            total = total + mat
-        return total
+        """The n-by-n matrix, from the blocks' set bits; for the general page path."""
+        ri, ci = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for (r, w), mat in self.blocks.items():
+            words = mat.words.reshape(-1)
+            rows, cols = _set_bits(words, mat.words.shape[1], np.flatnonzero(words))
+            ri.append(rows + self.low_index(w + r))
+            ci.append(cols + self.low_index(w))
+        return F2Matrix.from_coo(self.n, self.n, np.concatenate(ri), np.concatenate(ci))
 
     @cached_property
     def weight_values(self) -> tuple[int, ...]:
@@ -94,45 +92,41 @@ class FilteredComplex:
 
     def block_range(self, w: int) -> tuple[int, int]:
         """Index range [lo, hi) of generators of weight exactly w."""
-        arr = np.asarray(self.weights)
-        return int(np.searchsorted(arr, w, "left")), int(np.searchsorted(arr, w, "right"))
+        return bisect_left(self.weights, w), bisect_right(self.weights, w)
 
     def low_index(self, w: int) -> int:
         """First index of weight >= w (start of F_w)."""
-        return int(np.searchsorted(np.asarray(self.weights), w, "left"))
+        return bisect_left(self.weights, w)
 
     @property
     def max_shift(self) -> int:
-        nonzero = [r for r, m in self.components.items() if not m.is_zero()]
-        return max(nonzero, default=0)
+        return max((r for (r, _), m in self.blocks.items() if not m.is_zero()), default=0)
 
-    @property
-    def has_weight_zero_part(self) -> bool:
-        return 0 in self.components and not self.components[0].is_zero()
+    @cached_property
+    def _d_squared(self) -> DSquaredReport:
+        """D∘D one source weight at a time, lowest first.
 
-
-_SCAN_WORDS = 1 << 14  # nonzero words whose set bits are listed at once
-
-
-def _check_shift(weights, r: int, mat: F2Matrix) -> None:
-    """Every entry (row, col) must have weight[row] == weight[col] + r.
-
-    One pass over the set bits; a failure names the lowest source weight
-    that has an entry off its target block.
-    """
-    arr = np.asarray(weights)
-    words = mat.words.reshape(-1)
-    flat = np.flatnonzero(words)
-    lows = []
-    for w0 in range(0, flat.size, _SCAN_WORDS):
-        rows, cols = _set_bits(words, mat.words.shape[1], flat[w0 : w0 + _SCAN_WORDS])
-        src = arr[cols]
-        off = src[arr[rows] != src + r]
-        if off.size:
-            lows.append(int(off.min()))
-    if lows:
-        w = min(lows)
-        raise ValueError(f"component {r} has entries off the weight-{w} to weight-{w + r} block")
+        For source weight w the products B(s, w + r)·B(r, w) are summed
+        per target weight before the zero test.  The witness is the lowest
+        failing generator and the image its whole column of D∘D.
+        """
+        by_source: dict[int, list[tuple[int, F2Matrix]]] = {}
+        for (r, w), mat in self.blocks.items():
+            by_source.setdefault(w, []).append((r, mat))
+        for w in sorted(by_source):
+            sums: dict[int, F2Matrix] = {}
+            for r, first in by_source[w]:
+                for s, second in by_source.get(w + r, ()):
+                    prod = matmul(second, first)
+                    t = w + r + s
+                    sums[t] = sums[t] + prod if t in sums else prod
+            failing = [(self.low_index(t), p.transpose()) for t, p in sums.items() if not p.is_zero()]
+            for j in range(failing[0][1].rows if failing else 0):
+                # the target blocks are disjoint, so adding their columns is a union
+                image = sum(pt.row_int(j) << lo for lo, pt in failing)
+                if image:
+                    return DSquaredReport(False, witness=self.low_index(w) + j, image=image)
+        return DSquaredReport(True)
 
 
 @dataclass(frozen=True)
@@ -143,17 +137,11 @@ class DSquaredReport:
 
 
 def verify_d_squared(fc: FilteredComplex) -> DSquaredReport:
-    """Does the total differential square to zero?  Witness on failure."""
-    d = fc.differential
-    sq = matmul(d, d)
-    if sq.is_zero():
-        return DSquaredReport(True)
-    sq_t = sq.transpose()
-    for j in range(sq_t.rows):
-        img = sq_t.row_int(j)
-        if img:
-            return DSquaredReport(False, witness=j, image=img)
-    raise AssertionError("unreachable")
+    """Does the total differential square to zero?  Witness on failure.
+
+    Computed once per complex and kept on it.
+    """
+    return fc._d_squared
 
 
 class HigherMapError(ValueError):
@@ -165,24 +153,23 @@ class HigherMapError(ValueError):
         self.image = image
 
 
-def load_higher_maps(fc: FilteredComplex, table: dict[int, F2Matrix]) -> FilteredComplex:
-    """Adjoin externally supplied strictly-weight-raising components.
+def load_higher_maps(fc: FilteredComplex, table: dict[tuple[int, int], F2Matrix]) -> FilteredComplex:
+    """Adjoin externally supplied strictly-weight-raising blocks.
 
-    Shifts must be >= 2 and the augmented differential must still
-    square to zero; violations raise (HigherMapError when a D^2 witness
-    exists).  An empty table returns the complex unchanged.
+    table is keyed like ``FilteredComplex.blocks``.  Shifts must be >= 2
+    and the augmented differential must still square to zero; violations
+    raise (HigherMapError when a D^2 witness exists).  An empty table
+    returns the complex unchanged.
     """
     if not table:
         return fc
-    for r, mat in table.items():
+    for r, _ in table:
         if not isinstance(r, int) or r < 2:
             raise ValueError(f"higher map shift must be an integer >= 2, got {r!r}")
-        if mat.shape != (fc.n, fc.n):
-            raise ValueError(f"higher map for shift {r} has shape {mat.shape}, expected square of {fc.n}")
-    merged = dict(fc.components)
-    for r, mat in table.items():
-        merged[r] = merged[r] + mat if r in merged else mat
-    augmented = FilteredComplex(fc.weights, merged, fc.labels)
+    merged = dict(fc.blocks)
+    for key, mat in table.items():
+        merged[key] = merged[key] + mat if key in merged else mat
+    augmented = FilteredComplex(fc.weights, merged)
     report = verify_d_squared(augmented)
     if not report.ok:
         raise HigherMapError(
@@ -340,11 +327,9 @@ def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPage
     spread = wvals[-1] - wvals[0]
     hard_stop = spread + 1 if spread >= 1 else 1
     stop = hard_stop if r_max is None else min(r_max, hard_stop)
-    pure_d1 = not fc.has_weight_zero_part and fc.max_shift <= 1
+    pure_d1 = fc.max_shift <= 1
     if pure_d1:
         stop = min(stop, 2)
-
-    d = fc.differential
 
     pages: list[PageData] = []
     if pure_d1:
@@ -352,8 +337,7 @@ def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPage
         dims1 = {}
         for w in wvals:
             lo, hi = fc.block_range(w)
-            t_lo, t_hi = fc.block_range(w + 1)
-            block_rank[w] = rank(d.submatrix(t_lo, t_hi, lo, hi))
+            block_rank[w] = rank(fc.blocks[(1, w)]) if (1, w) in fc.blocks else 0
             dims1[w] = hi - lo
         pages.append(PageData(1, dims1, dict(block_rank)))
         if stop >= 2:
@@ -363,6 +347,7 @@ def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPage
         else:
             stabilization = 2
     else:
+        d = fc.differential
         dt = d.transpose()
         for r in range(1, stop + 1):
             pages.append(_general_page(fc, d, dt, r))

@@ -14,8 +14,9 @@ significant, and 1 before X in each factor.  So index 0 is all-1s and
 for two circles the order is 1(x)1, 1(x)X, X(x)1, X(x)X.
 
 Generators of the total complex are grouped by vertex, vertices sorted
-by (weight, bitstring-as-integer); the differential collects one block
-per increasing cube edge and raises weight by exactly one.
+by (weight, bitstring-as-integer).  The differential raises weight by
+exactly one and is stored as one block per source weight, gathered
+straight from the sparse columns of that weight's edges.
 """
 
 from __future__ import annotations
@@ -124,40 +125,43 @@ def _compose_columns(first: _ColumnMap, second: _ColumnMap) -> tuple[np.ndarray,
 
 @dataclass(eq=False)
 class ChainComplexF2:
-    """Total cube complex: graded generator list plus the differential."""
+    """Total cube complex: graded generator list plus the differential.
+
+    offsets places each vertex inside its weight block; blocks are keyed
+    (1, source weight) as in ``FilteredComplex.blocks``.
+    """
 
     cube: ResolutionCube
-    order: tuple[int, ...]
     offsets: dict[int, int]
     spaces: dict[int, VertexSpace]
     weights: tuple[int, ...]
-    d1: F2Matrix
+    blocks: dict[tuple[int, int], F2Matrix]
 
     @property
     def total_dim(self) -> int:
-        return self.d1.rows
+        return len(self.weights)
 
     def to_filtered(self) -> FilteredComplex:
-        return FilteredComplex(self.weights, {1: self.d1})
+        return FilteredComplex(self.weights, self.blocks)
 
 
 def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainComplexF2:
-    """Glue the edge blocks into one weight-filtered differential.
+    """Glue the edge blocks into one block per source weight.
 
     With check_faces every square of the cube is verified to commute
     before the blocks are trusted; a failure raises ConsistencyError
     since it can only come from a convention bug, never from input.
     """
-    order = tuple(sorted(cube.vertices, key=lambda v: (cube.weight(v), v)))
+    order = sorted(cube.vertices, key=lambda v: (cube.weight(v), v))
     spaces = {v: VertexSpace(cube.vertices[v].circles) for v in order}
     offsets = {}
     weights = []
-    running = 0
+    size: dict[int, int] = {}
     for v in order:
-        offsets[v] = running
-        running += spaces[v].dim
-        weights.extend([cube.weight(v)] * spaces[v].dim)
-    total = running
+        w = cube.weight(v)
+        offsets[v] = size.get(w, 0)
+        size[w] = offsets[v] + spaces[v].dim
+        weights.extend([w] * spaces[v].dim)
 
     columns = {}
     for i_vertex, j_vertex in cube.edge_pairs():
@@ -168,17 +172,17 @@ def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainCom
     if check_faces:
         _check_faces(cube, spaces, columns)
 
-    ri_all = []
-    ci_all = []
+    coo: dict[int, tuple[list, list]] = {}
     for (i_vertex, j_vertex), cmap in columns.items():
         ri, ci = cmap.coo()
-        ri_all.append(ri + offsets[j_vertex])
-        ci_all.append(ci + offsets[i_vertex])
-    if ri_all:
-        d1 = F2Matrix.from_coo(total, total, np.concatenate(ri_all), np.concatenate(ci_all))
-    else:
-        d1 = F2Matrix.zeros(total, total)
-    return ChainComplexF2(cube, order, offsets, spaces, tuple(weights), d1)
+        ri_w, ci_w = coo.setdefault(cube.weight(i_vertex), ([], []))
+        ri_w.append(ri + offsets[j_vertex])
+        ci_w.append(ci + offsets[i_vertex])
+    blocks = {
+        (1, w): F2Matrix.from_coo(size[w + 1], size[w], np.concatenate(ri), np.concatenate(ci))
+        for w, (ri, ci) in sorted(coo.items())
+    }
+    return ChainComplexF2(cube, offsets, spaces, tuple(weights), blocks)
 
 
 def _check_faces(cube: ResolutionCube, spaces, columns) -> None:

@@ -277,13 +277,19 @@ def conjugate_dense(weights, d, rng, density=3, min_shift=1):
     return dense_matmul(dense_matmul(p, d), pinv)
 
 
-def split_by_shift(weights, d):
-    """Dense differential -> {shift: dense component}."""
-    comps: dict[int, np.ndarray] = {}
+def split_by_block(weights, d):
+    """Dense differential -> {(shift, source weight): dense block}.
+
+    Only blocks holding an entry are listed; rows of a block are the
+    generators of the target weight, columns those of the source weight.
+    """
+    w = np.asarray(weights)
+    blocks: dict[tuple[int, int], np.ndarray] = {}
     for i, j in zip(*np.nonzero(d)):
-        r = weights[i] - weights[j]
-        comps.setdefault(r, np.zeros_like(d))[i, j] = 1
-    return comps
+        key = (int(w[i] - w[j]), int(w[j]))
+        if key not in blocks:
+            blocks[key] = d[np.ix_(w == w[i], w == w[j])]
+    return blocks
 
 
 # -- misc -------------------------------------------------------------

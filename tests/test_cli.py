@@ -25,6 +25,25 @@ def invoke(argv, capsys):
 # -- report content ---------------------------------------------------
 
 
+def test_cube_path_builds_no_n_by_n_matrix(monkeypatch, capsys):
+    """A pure-d1 run keeps the differential in weight blocks throughout."""
+    from platcube.f2linalg import F2Matrix
+
+    shapes = []
+    original = F2Matrix.__init__
+
+    def recording(self, rows, cols, words):
+        shapes.append((rows, cols))
+        original(self, rows, cols, words)
+
+    monkeypatch.setattr(F2Matrix, "__init__", recording)
+    code, out, _ = invoke(["--strands", "4", "--word", "s2 s2 s2 s2 s2", "--json"], capsys)
+    assert code == 0
+    n = json.loads(out)["vertices"]["total_dim"]
+    assert n == 246 and shapes
+    assert not [s for s in shapes if n in s]
+
+
 def test_trefoil_report():
     rep = run(strands=4, word="s2 s2 s2")
     assert rep["schema_version"] == 1

@@ -4,15 +4,20 @@
 and class attributes, and `perfbench/micro.py` reruns the kernels on the
 arguments it captured.  A rename, or a stage that stops calling a hooked
 kernel, would otherwise only show when a traced benchmark run fails.
+The benchmark's pinned report digests are checked here too, on its
+smaller inputs.
 """
 
 import json
+import sys
 from pathlib import Path
 
 from platcube import cli, f2linalg, specseq, tqft
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 HOOKED = (cli, f2linalg, specseq, tqft.ChainComplexF2, f2linalg.F2Matrix)
+# twist-tower's two smallest complexes: 6,564 and 11,676 generators
+SMALLEST_TOWER = ("4:s2 s2 s2 s2 s2 s2 s2 s2", "4:s2 s2 s1^-1 s1^-1 s2 s2 s1^-1 s1^-1 s2 s2")
 
 
 def _traced_main(monkeypatch, argv):
@@ -56,3 +61,33 @@ def test_tracer_records_general_page_kernels(monkeypatch, capsys, tmp_path):
     for name in ("rank", "rref", "kernel_basis"):
         assert tracer.kernel_calls[name] >= 1, name
     assert {"rref", "kernel_basis"} <= tracer.captured.keys()
+
+
+def test_reports_match_pinned_digests(monkeypatch, capsys, tmp_path):
+    """The benchmark's pinned report digests hold without running it.
+
+    The two smallest twist-tower inputs and the first five higher-maps
+    inputs, made by perfbench/workloads.py and run through cli.main.
+    """
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    import workloads
+
+    pins = json.loads((PERFBENCH / "pinned.json").read_text())
+    assert pins["seed"] == workloads.DEFAULT_SEED
+    tower, _, _ = workloads.twist_tower(workloads.DEFAULT_SEED)
+    smallest = [item for item in tower if item.name in SMALLEST_TOWER]
+    assert len(smallest) == 2
+    higher, files, _ = workloads.higher_maps(workloads.DEFAULT_SEED, count=5)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    checked = []
+    for workload, items in (("twist-tower", smallest), ("higher-maps", higher)):
+        for item in items:
+            assert cli.main(item.argv) == 0, item.name
+            report = json.loads(capsys.readouterr().out)
+            assert workloads.check_report(item, report, pins[workload]) == [], item.name
+            assert workloads.digest(report) == pins[workload][item.name], item.name
+            checked.append(item.name)
+    assert len(checked) == 7

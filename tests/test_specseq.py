@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from platcube.cube import braid_to_twists, build_cube
-from platcube.f2linalg import F2Matrix
+from platcube.f2linalg import F2Matrix, matmul
 from platcube.specseq import (
     FilteredComplex,
     HigherMapError,
@@ -25,15 +25,16 @@ from oracles import (
     dense_matmul,
     dense_rank,
     random_letters,
-    split_by_shift,
+    split_by_block,
 )
 
 
+def blocks_from_dense(weights, dense):
+    return {key: F2Matrix.from_dense(b) for key, b in split_by_block(weights, dense).items()}
+
+
 def fc_from_dense(weights, dense):
-    comps = {
-        r: F2Matrix.from_dense(part) for r, part in split_by_shift(weights, dense).items()
-    }
-    return FilteredComplex(tuple(weights), comps)
+    return FilteredComplex(tuple(weights), blocks_from_dense(weights, dense))
 
 
 def filtered_of(word, strands):
@@ -62,35 +63,42 @@ def test_weights_must_be_sorted():
 
 def test_component_shape_checked():
     with pytest.raises(ValueError):
-        FilteredComplex((0, 1), {1: F2Matrix.zeros(3, 3)})
+        FilteredComplex((0, 1), {(1, 0): F2Matrix.zeros(3, 3)})
 
 
-def test_component_shift_checked():
-    # an entry from weight 0 to weight 0 is not a shift-1 entry
-    bad = F2Matrix.from_dense([[0, 0], [1, 0]])
-    with pytest.raises(ValueError):
-        FilteredComplex((0, 0), {1: bad})
-    # same matrix is fine when declared as shift 0
-    FilteredComplex((0, 0), {0: bad})
-    # past the first word of a row: 40 generators at weight 0, 40 at 1, 20 at 2
+def test_block_shape_and_key_checked():
+    # 40 generators at weight 0, 40 at 1, 20 at 2: blocks cross a word boundary
     weights = (0,) * 40 + (1,) * 40 + (2,) * 20
     d = np.zeros((100, 100), dtype=np.uint8)
-    d[45, 3] = d[90, 70] = d[99, 79] = 1  # legal shift-1 entries
-    FilteredComplex(weights, {1: F2Matrix.from_dense(d)})
-    d[0, 85] = 1  # weight 2 -> 0, in the first row
-    d[3, 70] = 1  # weight 1 -> 0: the lowest bad source weight
-    with pytest.raises(ValueError, match="off the weight-1 to weight-2 block"):
-        FilteredComplex(weights, {1: F2Matrix.from_dense(d)})
+    d[45, 3] = d[90, 70] = d[99, 79] = 1  # shift-1 entries
+    d[99, 39] = 1  # a shift-2 entry
+    blocks = blocks_from_dense(weights, d)
+    assert {key: m.shape for key, m in blocks.items()} == {
+        (1, 0): (40, 40),
+        (1, 1): (20, 40),
+        (2, 0): (20, 40),
+    }
+    fc = FilteredComplex(weights, blocks)
+    assert np.array_equal(fc.differential.to_dense(), d)
+    # a block sized for the wrong weights is named in the error
+    swapped = dict(blocks)
+    swapped[(1, 1)] = F2Matrix.zeros(40, 20)
+    with pytest.raises(ValueError, match=r"block \(1, 1\) has shape \(40, 20\), expected \(20, 40\)"):
+        FilteredComplex(weights, swapped)
+    # one source column too many
+    with pytest.raises(ValueError, match="expected"):
+        FilteredComplex(weights, {(2, 0): F2Matrix.zeros(20, 41)})
+    # a block into no generators must have no rows
+    FilteredComplex(weights, {(1, 2): F2Matrix.zeros(0, 20)})
+    with pytest.raises(ValueError):
+        FilteredComplex(weights, {(1, 2): F2Matrix.zeros(1, 20)})
 
 
 def test_component_key_checked():
-    with pytest.raises(ValueError):
-        FilteredComplex((0,), {-1: F2Matrix.zeros(1, 1)})
-
-
-def test_labels_length_checked():
-    with pytest.raises(ValueError):
-        FilteredComplex((0, 1), {}, labels=("a",))
+    # shifts below 1 and non-integer keys are refused
+    for key in [(0, 0), (-1, 1), (1.0, 0), (1, "0")]:
+        with pytest.raises(ValueError, match="block key"):
+            FilteredComplex((0, 1), {key: F2Matrix.zeros(1, 1)})
 
 
 def test_block_lookup():
@@ -112,8 +120,7 @@ def test_verify_d_squared_ok():
 
 
 def test_verify_d_squared_witness():
-    d = F2Matrix.from_dense([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
-    fc = FilteredComplex((0, 1, 2), {1: d})
+    fc = fc_from_dense((0, 1, 2), np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0]], dtype=np.uint8))
     report = verify_d_squared(fc)
     assert not report.ok
     assert report.witness == 0
@@ -137,6 +144,30 @@ def test_verify_d_squared_lowest_witness():
     assert report.image == sum(int(b) << i for i, b in enumerate(sq[:, failing[0]]))
 
 
+def test_verify_d_squared_sums_products_per_target():
+    """Products into one target block are summed before the zero test.
+
+    Generator 0 (weight 0) reaches 6 (weight 3) two ways, through 1 by
+    shifts 1 then 2 and through 3 by shifts 2 then 1: each product alone
+    is nonzero, their sum is zero.  The real failure is generator 2, one
+    weight higher; generator 5, at weight 2, fails too.
+    """
+    weights = (0, 1, 1, 2, 2, 2, 3, 3, 4)
+    d = np.zeros((9, 9), dtype=np.uint8)
+    for target, source in [(1, 0), (3, 0), (6, 1), (6, 3), (4, 2), (6, 4), (7, 5), (8, 7)]:
+        d[target, source] = 1
+    fc = fc_from_dense(weights, d)
+    one = F2Matrix.from_dense([[1], [0]])  # generator 0 to 6, not to 7
+    assert matmul(fc.blocks[(2, 1)], fc.blocks[(1, 0)]) == one
+    assert matmul(fc.blocks[(1, 2)], fc.blocks[(2, 0)]) == one
+    sq = dense_matmul(d, d)
+    assert list(np.flatnonzero(sq.any(axis=0))) == [2, 5]
+    report = verify_d_squared(fc)
+    assert not report.ok
+    assert report.witness == 2
+    assert report.image == sum(int(b) << i for i, b in enumerate(sq[:, 2])) == 1 << 6
+
+
 # -- higher-map loading -----------------------------------------------
 
 
@@ -147,7 +178,10 @@ def test_empty_table_is_identity():
 
 def test_zero_block_changes_nothing():
     fc = filtered_of("s2 s2", 4)
-    out = load_higher_maps(fc, {2: F2Matrix.zeros(fc.n, fc.n)})
+    w0 = fc.weight_values[0]
+    lo, hi = fc.block_range(w0)
+    t0, t1 = fc.block_range(w0 + 2)
+    out = load_higher_maps(fc, {(2, w0): F2Matrix.zeros(t1 - t0, hi - lo)})
     a = compute_pages(fc)
     b = compute_pages(out)
     assert [p.dims for p in a.pages] == [p.dims for p in b.pages][: len(a.pages)]
@@ -156,19 +190,11 @@ def test_zero_block_changes_nothing():
 
 def test_higher_map_shift_bounds():
     fc = filtered_of("s2 s2", 4)
-    with pytest.raises(ValueError):
-        load_higher_maps(fc, {1: F2Matrix.zeros(fc.n, fc.n)})
-    with pytest.raises(ValueError):
-        load_higher_maps(fc, {2: F2Matrix.zeros(3, 3)})
-
-
-def test_higher_map_off_block_rejected():
-    fc = filtered_of("s2 s2", 4)
-    lo, hi = fc.block_range(fc.weight_values[0])
-    bad = F2Matrix.zeros(fc.n, fc.n)
-    bad.words[lo, 0] = np.uint64(1) << np.uint64(lo + 1)  # weight shift 0
-    with pytest.raises(ValueError):
-        load_higher_maps(fc, {2: bad})
+    w0 = fc.weight_values[0]
+    with pytest.raises(ValueError, match=">= 2"):
+        load_higher_maps(fc, {(1, w0): F2Matrix.zeros(4, 4)})
+    with pytest.raises(ValueError, match="expected"):
+        load_higher_maps(fc, {(2, w0): F2Matrix.zeros(3, 3)})
 
 
 def test_higher_map_d2_witness():
@@ -185,7 +211,7 @@ def test_higher_map_d2_witness():
     h = np.zeros((fc.n, fc.n), dtype=np.uint8)
     h[t0, lo] = 1  # D(h(g_lo)) != 0 because the target splits onward
     with pytest.raises(HigherMapError) as err:
-        load_higher_maps(fc, {2: F2Matrix.from_dense(h)})
+        load_higher_maps(fc, blocks_from_dense(fc.weights, h))
     exc = err.value
     assert exc.witness is not None and exc.image
     total = (fc.differential + F2Matrix.from_dense(h)).to_dense()
@@ -204,7 +230,7 @@ def test_spread_two_blocks_always_load():
     for i in range(t0, t1):
         for j in range(lo, hi):
             h[i, j] = rng.random() < 0.5
-    aug = load_higher_maps(fc, {2: F2Matrix.from_dense(h)})
+    aug = load_higher_maps(fc, blocks_from_dense(fc.weights, h))
     base = compute_pages(fc)
     full = compute_pages(aug)
     assert full.dims(1) == base.dims(1)
@@ -224,9 +250,10 @@ def test_conjugated_injection_preserves_low_pages():
     fc = filtered_of("s2 s2 s2", 4)
     dense = fc.differential.to_dense()
     conj = conjugate_dense(list(fc.weights), dense, rng, min_shift=2)
-    parts = split_by_shift(list(fc.weights), conj)
-    assert (parts.pop(1) == dense).all()  # d_1 itself is unchanged
-    table = {r: F2Matrix.from_dense(p) for r, p in parts.items()}
+    parts = blocks_from_dense(fc.weights, conj)
+    assert {key: parts.pop(key) for key in fc.blocks} == fc.blocks  # d_1 itself is unchanged
+    assert all(r == 1 for r, _ in fc.blocks) and all(r >= 2 for r, _ in parts)
+    table = parts
     if not table:
         pytest.skip("conjugation produced no higher part for this seed")
     aug = load_higher_maps(fc, table)
@@ -334,8 +361,7 @@ def test_fast_and_general_paths_agree():
 
 def test_nonzero_d2():
     # two generators at weights 0 and 2, one weight-2 arrow between them
-    d = F2Matrix.from_dense([[0, 0], [1, 0]])
-    fc = FilteredComplex((0, 2), {2: d})
+    fc = FilteredComplex((0, 2), {(2, 0): F2Matrix.from_dense([[1]])})
     pages = compute_pages(fc)
     assert pages.dims(1) == {0: 1, 2: 1}
     assert pages.dims(2) == {0: 1, 2: 1}
@@ -343,19 +369,6 @@ def test_nonzero_d2():
     assert pages.dims(3) == {0: 0, 2: 0}
     assert pages.stabilization == 3
     assert pages.e_infinity_total == 0 == oracle_homology_dim(fc)
-
-
-def test_weight_zero_component():
-    # d_0 acts within a weight block; E_1 is its homology
-    d0 = np.zeros((3, 3), dtype=np.uint8)
-    d0[1, 0] = 1  # both generators at weight 0
-    fc = FilteredComplex((0, 0, 1), {0: F2Matrix.from_dense(d0)})
-    pages = compute_pages(fc)
-    assert pages.dims(1) == {0: 0, 1: 1}
-    assert pages.stabilization == 1
-    assert oracle_homology_dim(fc) == 1
-    ref = cancellation_pages([0, 0, 1], d0)
-    assert {w: d for w, d in pages.dims(1).items() if d} == ref[0]
 
 
 def test_empty_complex():
@@ -385,8 +398,7 @@ def test_truncated_pure_run():
 
 
 def test_truncated_general_run():
-    d = F2Matrix.from_dense([[0, 0], [1, 0]])
-    fc = FilteredComplex((0, 2), {2: d})
+    fc = FilteredComplex((0, 2), {(2, 0): F2Matrix.from_dense([[1]])})
     pages = compute_pages(fc, r_max=2)
     assert pages.stabilization is None
     with pytest.raises(ValueError):
@@ -417,7 +429,7 @@ def test_rank_bounds_chain():
 
 
 def test_rank_bounds_without_e_inf():
-    fc = FilteredComplex((0, 2), {2: F2Matrix.from_dense([[0, 0], [1, 0]])})
+    fc = FilteredComplex((0, 2), {(2, 0): F2Matrix.from_dense([[1]])})
     rep = rank_bounds(compute_pages(fc, r_max=2))
     assert rep.chain[0][0] == "E_2"
     assert rep.first_page_bound == 2

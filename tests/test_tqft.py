@@ -192,11 +192,11 @@ def test_assembled_blocks_match_dense_oracle():
         )
         assert list(fc.weights) == ow
         w_arr = np.array(ow)
-        for w in sorted(set(ow)):
-            lo, hi = fc.block_range(w)
-            t0, t1 = fc.block_range(w + 1)
-            blk = fc.differential.submatrix(t0, t1, lo, hi)
+        # one block per source weight that has a weight above it
+        assert set(fc.blocks) == {(1, w) for w in set(ow) if w + 1 in ow}
+        for (_, w), blk in fc.blocks.items():
             ref = od[np.ix_(np.flatnonzero(w_arr == w + 1), np.flatnonzero(w_arr == w))]
+            assert blk.shape == ref.shape
             assert rank(blk) == dense_rank(ref)
 
 
@@ -205,8 +205,8 @@ def test_d_squared_zero():
     for _ in range(10):
         strands = rng.choice([4, 6])
         b = BraidWord(strands, random_letters(rng, strands, rng.randint(1, 6)))
-        cc = assemble_complex(build_cube(braid_to_twists(b), strands))
-        assert matmul(cc.d1, cc.d1).is_zero()
+        d = assemble_complex(build_cube(braid_to_twists(b), strands)).to_filtered().differential
+        assert matmul(d, d).is_zero()
 
 
 def test_face_check_catches_corruption(monkeypatch):
@@ -233,6 +233,14 @@ def test_to_filtered_shape():
     cc = assemble_complex(cube_of("s2 s2 s2", 4))
     fc = cc.to_filtered()
     assert fc.n == cc.total_dim == 30
-    assert list(fc.components) == [1]
+    assert {r for r, _ in fc.blocks} == {1}
     assert fc.weights == cc.weights
+    # offsets count from the start of each weight block
+    cube = cc.cube
+    for w in fc.weight_values:
+        lo, hi = fc.block_range(w)
+        ends = sorted((cc.offsets[v], cc.offsets[v] + cc.spaces[v].dim)
+                      for v in cube.vertices if cube.weight(v) == w)
+        assert ends[0][0] == 0 and ends[-1][1] == hi - lo
+        assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
     assert all(a <= b for a, b in zip(fc.weights, fc.weights[1:]))
