@@ -133,6 +133,10 @@ def _per_weight(dims: dict[int, int]) -> dict[str, int]:
     return {str(w): dims[w] for w in sorted(dims)}
 
 
+def _page_entry(page, r: int) -> dict:
+    return {"r": r, "total": page.total, "per_weight": _per_weight(page.dims), "d_ranks": _per_weight(page.d_ranks)}
+
+
 def _pairs_1based(pairs) -> list[list[int]]:
     return [[a + 1, b + 1] for a, b in pairs]
 
@@ -181,27 +185,12 @@ def run(
 
     gd = goeritz_data(b, plat)
 
-    page_list = [
-        {
-            "r": page.r,
-            "total": page.total,
-            "per_weight": _per_weight(page.dims),
-            "d_ranks": _per_weight(page.d_ranks),
-        }
-        for page in pages.pages
-    ]
+    page_list = [_page_entry(page, page.r) for page in pages.pages]
     e1 = page_list[0]
     e2 = next((p for p in page_list if p["r"] == 2), None)
     inf_known = pages.stabilization is not None and pages.stabilization <= len(pages.pages)
     if e2 is None and inf_known:
-        # stabilization before page 2: E_2 replays the stable page
-        stable = pages.page(2)
-        e2 = {
-            "r": 2,
-            "total": stable.total,
-            "per_weight": _per_weight(stable.dims),
-            "d_ranks": _per_weight(stable.d_ranks),
-        }
+        e2 = _page_entry(pages.page(2), 2)  # stabilization before page 2: E_2 replays the stable page
 
     e_inf = (
         {"total": pages.e_infinity_total, "per_weight": _per_weight(pages.e_infinity)}
@@ -277,17 +266,12 @@ def selftest(seed: int | None) -> bool:
             (rng.randint(1, strands - 1), rng.choice([-1, 1])) for _ in range(length)
         )
         b = BraidWord(strands, letters)
-        cc = assemble_complex(build_cube(braid_to_twists(b), strands))
-        spec = compute_pages(cc.to_filtered(), r_max=2)
-        mb = mirror(b)
-        mcc = assemble_complex(build_cube(braid_to_twists(mb), strands))
-        mspec = compute_pages(mcc.to_filtered(), r_max=2)
-        if spec.total(2) != mspec.total(2):
-            print(
-                f"selftest FAILED: word {b.as_text()!r} has E_2 {spec.total(2)} "
-                f"but mirror has {mspec.total(2)}",
-                file=sys.stderr,
-            )
+        e2, e2_mirror = (
+            compute_pages(assemble_complex(build_cube(braid_to_twists(x), strands)).to_filtered(), r_max=2).total(2)
+            for x in (b, mirror(b))
+        )
+        if e2 != e2_mirror:
+            print(f"selftest FAILED: word {b.as_text()!r} has E_2 {e2} but mirror has {e2_mirror}", file=sys.stderr)
             return False
         checked += 1
     print(f"selftest: {checked} random words checked, all invariants hold")

@@ -42,6 +42,11 @@ __all__ = [
 IDENTITY = "identity"
 CUPCAP = "cupcap"
 
+# build_cube resolves all 2^N vertices in Python: 16 twists take 11 s and 240 MB
+# on a 2-core box, each twist doubles both, and the complex (>= 2^(N+1) generators)
+# is then far past what the block ranks reduce, so longer words are refused at once.
+MAX_TWISTS = 16
+
 
 def resolve_twist(sign: int, bit: int) -> str:
     """Which flat shape a twist of the given sign takes at bit 0 / 1."""
@@ -184,6 +189,8 @@ def build_cube(
     """
     if strands <= 0 or strands % 2:
         raise ValueError(f"strand count must be even and positive, got {strands}")
+    if len(ts) > MAX_TWISTS:
+        raise ValueError(f"{len(ts)} twists exceed the limit of {MAX_TWISTS}: the cube has 2^{len(ts)} vertices")
     for k, _ in ts.twists:
         if k > strands - 1:
             raise ValueError(f"twist position {k} out of range for {strands} strands")

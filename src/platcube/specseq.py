@@ -19,9 +19,9 @@ greedily from the kernel basis against an ``Echelon`` of the boundary
 rows, and the same ``Echelon`` expresses d_r images in them.
 
 D is stored as one block per shift r >= 1 and source weight w.  Cube
-complexes feed in a pure weight-1 differential: everything collapses no
-later than E_2 and the pages are block ranks.  The n-by-n matrix is
-built only for the windows, which exist for externally supplied blocks.
+complexes feed in a pure weight-1 differential that keeps q: everything
+collapses no later than E_2, and the pages are ranks of (w, q) blocks.
+The n-by-n matrix is built only for externally supplied blocks' windows.
 """
 
 from __future__ import annotations
@@ -55,10 +55,14 @@ class FilteredComplex:
     blocks maps (r, w), a shift r >= 1 and a source weight w, to the
     block of D from the weight-w generators to the weight-(w + r) ones.
     Rows index targets, columns sources, each in generator order.
+    q, when given, is a second grading of the generators that every
+    (1, w) block preserves (the cube's quantum grading), so those blocks
+    split into (w, q) sub-blocks whose ranks add up.
     """
 
     weights: tuple[int, ...]
     blocks: dict[tuple[int, int], F2Matrix]
+    q: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
@@ -70,6 +74,8 @@ class FilteredComplex:
             (lo, hi), (t_lo, t_hi) = self.block_range(w), self.block_range(w + r)
             if mat.shape != (t_hi - t_lo, hi - lo):
                 raise ValueError(f"block {(r, w)} has shape {mat.shape}, expected {(t_hi - t_lo, hi - lo)}")
+        if self.q is not None and len(self.q) != self.n:
+            raise ValueError(f"q grades {len(self.q)} generators, not {self.n}")
 
     @property
     def n(self) -> int:
@@ -234,14 +240,21 @@ class SpectralPages:
         return sum(self.e_infinity.values())
 
 
-def _page_block_fast(fc: FilteredComplex, block_rank: dict[int, int]):
-    """E_2 dims from block ranks alone (pure weight-1 differential)."""
-    dims = {}
-    for w in fc.weight_values:
-        lo, hi = fc.block_range(w)
-        m_w = hi - lo
-        dims[w] = m_w - block_rank.get(w, 0) - block_rank.get(w - 1, 0)
-    return dims
+def _d1_rank(fc: FilteredComplex, w: int) -> int:
+    """Rank of the (1, w) block: the sum over its q sub-blocks when q is known."""
+    mat = fc.blocks.get((1, w))
+    if mat is None or fc.q is None:
+        return 0 if mat is None else rank(mat)
+    q_src, q_tgt = fc.q[slice(*fc.block_range(w))], fc.q[slice(*fc.block_range(w + 1))]
+    words = mat.words.reshape(-1)
+    rows, cols = _set_bits(words, mat.words.shape[1], np.flatnonzero(words))
+    total = 0
+    for qv in np.unique(q_src[cols]):
+        src, tgt, sel = q_src == qv, q_tgt == qv, q_src[cols] == qv
+        # each generator's position among those of its q, in generator order
+        ri, ci = (np.cumsum(tgt) - 1)[rows[sel]], (np.cumsum(src) - 1)[cols[sel]]
+        total += rank(F2Matrix.from_coo(int(tgt.sum()), int(src.sum()), ri, ci))
+    return total
 
 
 @dataclass
@@ -333,19 +346,14 @@ def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPage
 
     pages: list[PageData] = []
     if pure_d1:
-        block_rank: dict[int, int] = {}
-        dims1 = {}
-        for w in wvals:
-            lo, hi = fc.block_range(w)
-            block_rank[w] = rank(fc.blocks[(1, w)]) if (1, w) in fc.blocks else 0
-            dims1[w] = hi - lo
-        pages.append(PageData(1, dims1, dict(block_rank)))
+        # E_2 from block ranks alone
+        block_rank = {w: _d1_rank(fc, w) for w in wvals}
+        dims1 = {w: hi - lo for w, (lo, hi) in zip(wvals, map(fc.block_range, wvals))}
+        pages.append(PageData(1, dims1, block_rank))
         if stop >= 2:
-            pages.append(PageData(2, _page_block_fast(fc, block_rank), {w: 0 for w in wvals}))
-        if all(v == 0 for v in block_rank.values()):
-            stabilization = 1
-        else:
-            stabilization = 2
+            dims2 = {w: dims1[w] - block_rank[w] - block_rank.get(w - 1, 0) for w in wvals}
+            pages.append(PageData(2, dims2, {w: 0 for w in wvals}))
+        stabilization = 2 if any(block_rank.values()) else 1
     else:
         d = fc.differential
         dt = d.transpose()

@@ -16,7 +16,8 @@ for two circles the order is 1(x)1, 1(x)X, X(x)1, X(x)X.
 Generators of the total complex are grouped by vertex, vertices sorted
 by (weight, bitstring-as-integer).  The differential raises weight by
 exactly one and is stored as one block per source weight, gathered
-straight from the sparse columns of that weight's edges.
+straight from the sparse columns of the edges, laid out as one column
+map per cube axis.  It preserves Khovanov's q = #1 - #X + weight.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ class VertexSpace:
 
 @dataclass(frozen=True)
 class _ColumnMap:
-    """Sparse columns of an edge block: <= 2 output rows per input."""
+    """Sparse columns of an edge block or a cube axis: <= 2 output rows per input."""
 
     dim_in: int
     dim_out: int
@@ -63,25 +64,20 @@ class _ColumnMap:
     terms: np.ndarray  # 1 or 2 valid outputs per column; 0 = killed
 
     def coo(self) -> tuple[np.ndarray, np.ndarray]:
-        cols = np.arange(self.dim_in, dtype=np.int64)
+        """(rows, columns) of the entries; a stack of maps has columns on its last axis."""
         first = self.terms >= 1
         second = self.terms >= 2
         ri = np.concatenate([self.out_a[first], self.out_b[second]])
-        ci = np.concatenate([cols[first], cols[second]])
+        ci = np.concatenate([np.nonzero(first)[-1], np.nonzero(second)[-1]])
         return ri, ci
 
 
 def _edge_columns(space_i: VertexSpace, space_j: VertexSpace, cob: Merge | Split) -> _ColumnMap:
     v = np.arange(space_i.dim, dtype=np.int64)
-    if isinstance(cob, Merge):
-        active_i = set(cob.sources)
-        active_j = {cob.target}
-    else:
-        active_i = {cob.source}
-        active_j = set(cob.targets)
+    active = set(cob.sources) if isinstance(cob, Merge) else {cob.source}
     base = np.zeros(space_i.dim, dtype=np.int64)
     for label in space_i.circles:
-        if label in active_i:
+        if label in active:
             continue
         bit_in = space_i.bit_of(label)
         bit_out = space_j.bit_of(label)
@@ -109,17 +105,13 @@ def _edge_columns(space_i: VertexSpace, space_j: VertexSpace, cob: Merge | Split
 
 def _compose_columns(first: _ColumnMap, second: _ColumnMap) -> tuple[np.ndarray, np.ndarray]:
     """COO of second∘first (entries appear with multiplicity; mod 2 later)."""
-    ri_parts = []
-    ci_parts = []
-    cols = np.arange(first.dim_in, dtype=np.int64)
+    ri_parts, ci_parts = [], []
     for take_first, mid in ((1, first.out_a), (2, first.out_b)):
-        alive = first.terms >= take_first
-        mid_alive = mid[alive]
-        col_alive = cols[alive]
+        cols = np.flatnonzero(first.terms >= take_first)
         for take_second, out in ((1, second.out_a), (2, second.out_b)):
-            alive2 = second.terms[mid_alive] >= take_second
-            ri_parts.append(out[mid_alive[alive2]])
-            ci_parts.append(col_alive[alive2])
+            live = cols[second.terms[mid[cols]] >= take_second]
+            ri_parts.append(out[mid[live]])
+            ci_parts.append(live)
     return np.concatenate(ri_parts), np.concatenate(ci_parts)
 
 
@@ -128,7 +120,8 @@ class ChainComplexF2:
     """Total cube complex: graded generator list plus the differential.
 
     offsets places each vertex inside its weight block; blocks are keyed
-    (1, source weight) as in ``FilteredComplex.blocks``.
+    (1, source weight) as in ``FilteredComplex.blocks``; q holds each
+    generator's quantum grading, which every block preserves.
     """
 
     cube: ResolutionCube
@@ -136,70 +129,78 @@ class ChainComplexF2:
     spaces: dict[int, VertexSpace]
     weights: tuple[int, ...]
     blocks: dict[tuple[int, int], F2Matrix]
+    q: np.ndarray
 
     @property
     def total_dim(self) -> int:
         return len(self.weights)
 
     def to_filtered(self) -> FilteredComplex:
-        return FilteredComplex(self.weights, self.blocks)
+        return FilteredComplex(self.weights, self.blocks, self.q)
 
 
 def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainComplexF2:
     """Glue the edge blocks into one block per source weight.
 
-    With check_faces every square of the cube is verified to commute
-    before the blocks are trusted; a failure raises ConsistencyError
-    since it can only come from a convention bug, never from input.
+    The edges along cube axis a form one column map D_a on all generators.
+    With check_faces every square of the cube is verified to commute before
+    the blocks are trusted, as D_b∘D_a = D_a∘D_b per axis pair a < b: faces
+    at different vertices have different source columns.  Every entry must
+    also keep q.  A failure raises ConsistencyError since it can only come
+    from a convention bug, never from input.
     """
     order = sorted(cube.vertices, key=lambda v: (cube.weight(v), v))
     spaces = {v: VertexSpace(cube.vertices[v].circles) for v in order}
-    offsets = {}
-    weights = []
-    size: dict[int, int] = {}
-    for v in order:
-        w = cube.weight(v)
-        offsets[v] = size.get(w, 0)
-        size[w] = offsets[v] + spaces[v].dim
-        weights.extend([w] * spaces[v].dim)
+    dims = [spaces[v].dim for v in order]
+    starts = np.cumsum([0, *dims[:-1]])
+    start = dict(zip(order, starts.tolist()))  # each vertex's first global generator
+    weights = np.repeat([cube.weight(v) for v in order], dims)
+    values, lows, counts = (a.tolist() for a in np.unique(weights, return_index=True, return_counts=True))
+    low, size = dict(zip(values, lows)), dict(zip(values, counts))
+    offsets = {v: start[v] - low[cube.weight(v)] for v in order}
+    vertex_of, n = np.repeat(order, dims), weights.size
+    # q = c - 2 #X + weight; index bit 1 is X, so a local index's popcount counts the X factors
+    x_count = np.bitwise_count(np.arange(n) - np.repeat(starts, dims)).astype(np.int64)
+    q = np.repeat([len(spaces[v].circles) for v in order], dims) - 2 * x_count + weights
 
-    columns = {}
+    out_a, out_b, terms = (np.zeros((cube.n, n), dtype=np.int64) for _ in range(3))
     for i_vertex, j_vertex in cube.edge_pairs():
-        columns[(i_vertex, j_vertex)] = _edge_columns(
-            spaces[i_vertex], spaces[j_vertex], cube.edges[(i_vertex, j_vertex)]
-        )
+        cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cube.edges[(i_vertex, j_vertex)])
+        a = (i_vertex ^ j_vertex).bit_length() - 1
+        cols = slice(start[i_vertex], start[i_vertex] + cmap.dim_in)
+        out_a[a, cols] = cmap.out_a + start[j_vertex]
+        out_b[a, cols] = cmap.out_b + start[j_vertex]
+        terms[a, cols] = cmap.terms
+    axes = [_ColumnMap(n, n, out_a[a], out_b[a], terms[a]) for a in range(cube.n)]
 
     if check_faces:
-        _check_faces(cube, spaces, columns)
+        _check_faces(cube, axes, vertex_of)
 
-    coo: dict[int, tuple[list, list]] = {}
-    for (i_vertex, j_vertex), cmap in columns.items():
-        ri, ci = cmap.coo()
-        ri_w, ci_w = coo.setdefault(cube.weight(i_vertex), ([], []))
-        ri_w.append(ri + offsets[j_vertex])
-        ci_w.append(ci + offsets[i_vertex])
-    blocks = {
-        (1, w): F2Matrix.from_coo(size[w + 1], size[w], np.concatenate(ri), np.concatenate(ci))
-        for w, (ri, ci) in sorted(coo.items())
-    }
-    return ChainComplexF2(cube, offsets, spaces, tuple(weights), blocks)
+    ri, ci = _ColumnMap(n, n, out_a, out_b, terms).coo()  # all axes at once: D is their sum
+    moved = np.flatnonzero(q[ri] != q[ci])
+    if moved.size:
+        e = moved[np.argmin(ci[moved])]
+        i, j = cube.bitstring(int(vertex_of[ci[e]])), cube.bitstring(int(vertex_of[ri[e]]))
+        raise ConsistencyError(f"edge {i}->{j} does not preserve q at generator {ci[e]}")
+    blocks = {}
+    for w in values[:-1]:  # every weight below the top has edges out
+        sel = weights[ci] == w
+        blocks[(1, w)] = F2Matrix.from_coo(size[w + 1], size[w], ri[sel] - low[w + 1], ci[sel] - low[w])
+    return ChainComplexF2(cube, offsets, spaces, tuple(weights.tolist()), blocks, q)
 
 
-def _check_faces(cube: ResolutionCube, spaces, columns) -> None:
-    n = cube.n
-    for i_vertex in cube.vertices:
-        clear = [a for a in range(n) if not i_vertex >> a & 1]
-        for ai in range(len(clear)):
-            for bi in range(ai + 1, len(clear)):
-                a, b = clear[ai], clear[bi]
-                ja = i_vertex | (1 << a)
-                jb = i_vertex | (1 << b)
-                k_vertex = ja | jb
-                r1, c1 = _compose_columns(columns[(i_vertex, ja)], columns[(ja, k_vertex)])
-                r2, c2 = _compose_columns(columns[(i_vertex, jb)], columns[(jb, k_vertex)])
-                # the two compositions agree mod 2 iff every entry occurs evenly often
-                keys = np.concatenate([r1, r2]) * spaces[i_vertex].dim + np.concatenate([c1, c2])
-                if (np.bincount(keys) & 1).any():
-                    raise ConsistencyError(
-                        f"face at vertex {cube.bitstring(i_vertex)} axes {a},{b} does not commute"
-                    )
+def _check_faces(cube: ResolutionCube, axes: list[_ColumnMap], vertex_of: np.ndarray) -> None:
+    n = vertex_of.size
+    failing = []
+    for a in range(cube.n):
+        for b in range(a + 1, cube.n):
+            r1, c1 = _compose_columns(axes[a], axes[b])
+            r2, c2 = _compose_columns(axes[b], axes[a])
+            # the two compositions agree mod 2 iff every entry occurs evenly often
+            keys = np.sort(np.concatenate([r1, r2]) * n + np.concatenate([c1, c2]))
+            if keys.size % 2 or (keys[0::2] != keys[1::2]).any():
+                entries, counts = np.unique(keys, return_counts=True)
+                failing.append((int(vertex_of[entries[counts % 2 == 1] % n].min()), a, b))
+    if failing:
+        v, a, b = min(failing)
+        raise ConsistencyError(f"face at vertex {cube.bitstring(v)} axes {a},{b} does not commute")

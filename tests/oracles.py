@@ -190,6 +190,26 @@ def naive_cube_complex(positions, signs, strands, cups, caps):
     return weights, d
 
 
+def naive_face_check(n, edge_blocks):
+    """The lowest non-commuting face of a cube, as (vertex, a, b), or None.
+
+    edge_blocks maps each edge (I, J) of the n-dimensional cube to its
+    dense block.  Faces are visited vertex by vertex in ascending order,
+    then by axis pairs a < b, and the two paths around each face are
+    multiplied out.
+    """
+    for i in range(1 << n):
+        clear = [a for a in range(n) if not i >> a & 1]
+        for ai, a in enumerate(clear):
+            for b in clear[ai + 1 :]:
+                ja, jb, k = i | 1 << a, i | 1 << b, i | 1 << a | 1 << b
+                via_a = dense_matmul(edge_blocks[(ja, k)], edge_blocks[(i, ja)])
+                via_b = dense_matmul(edge_blocks[(jb, k)], edge_blocks[(i, jb)])
+                if not np.array_equal(via_a, via_b):
+                    return i, a, b
+    return None
+
+
 def graded_homology(weights, d):
     """Per-weight kernel-mod-image dims of a shift-one differential."""
     w_arr = np.array(weights)

@@ -1,12 +1,17 @@
 """The command-line front end: reports, exit codes, file formats."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import platcube
 from platcube.cli import main, run
@@ -162,6 +167,36 @@ def test_input_errors(argv, capsys):
     assert code == 1
     assert err.startswith("error:")
     assert out == ""
+
+
+def test_huge_word_fails_fast(capsys):
+    """A 40-twist cube would never finish; it is refused before it is built."""
+    started = time.monotonic()
+    code, out, err = invoke(["--strands", "4", "--word", " ".join(["s2"] * 40)], capsys)
+    assert time.monotonic() - started < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: 40 twists exceed the limit of 16")
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.sampled_from(["2", "4", "6"]),
+    st.text(alphabet="s123456^-1 ,/\t", max_size=24),
+    st.none() | st.text(alphabet="123456-,/ x", max_size=24),
+)
+def test_parser_fuzz_never_tracebacks(strands, word, plat):
+    """Arbitrary short --word/--plat strings end in an exit code, never a traceback."""
+    argv = ["--strands", strands, "--word", word, "--json"]
+    if plat is not None:
+        argv += ["--plat", plat]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a value that looks like a flag
+            code = exc.code
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()
 
 
 # -- higher-map tables ------------------------------------------------

@@ -4,14 +4,25 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import platcube.tqft as tqft
 from platcube.cube import ConsistencyError, Merge, Split, braid_to_twists, build_cube
 from platcube.f2linalg import F2Matrix, matmul, rank
+from platcube.specseq import FilteredComplex, compute_pages
 from platcube.tangle import BraidWord, parse_braid_word
 from platcube.tqft import VertexSpace, assemble_complex
 
-from oracles import COMUL, MUL, dense_matmul, dense_rank, naive_cube_complex, random_letters
+from oracles import (
+    COMUL,
+    MUL,
+    dense_matmul,
+    dense_rank,
+    naive_cube_complex,
+    naive_face_check,
+    random_letters,
+)
 
 
 def cube_of(word, strands):
@@ -227,6 +238,99 @@ def test_face_check_catches_corruption(monkeypatch):
     with pytest.raises(ConsistencyError):
         assemble_complex(cube_of("s2 s2", 4))
     assert state["hit"]
+
+
+def test_face_check_matches_naive_oracle(monkeypatch):
+    """One tampered column of one random edge: the axis-pair check fails
+    exactly when the per-face oracle does, and names the same face."""
+    rng = random.Random(9)
+    original = tqft._edge_columns
+    outcomes = {"face": 0, "q": 0, "none": 0}
+    for _ in range(150):
+        strands = rng.choice([4, 6])
+        b = BraidWord(strands, random_letters(rng, strands, rng.randint(2, 5)))
+        cube = build_cube(braid_to_twists(b), strands)
+        target = cube.edges[rng.choice(sorted(cube.edges))]
+        maps = {}
+        moved = {}
+
+        def tampered(space_i, space_j, cob):
+            cm = original(space_i, space_j, cob)
+            if cob is target:
+                col = rng.randrange(cm.dim_in)
+                out_a = cm.out_a.copy()
+                out_a[col] = (out_a[col] + rng.randrange(1, cm.dim_out)) % cm.dim_out
+                # an entry keeps q iff its row keeps the number of X factors
+                popcounts = (int(out_a[col]).bit_count(), int(cm.out_a[col]).bit_count())
+                moved["q"] = cm.terms[col] >= 1 and popcounts[0] != popcounts[1]
+                cm = tqft._ColumnMap(cm.dim_in, cm.dim_out, out_a, cm.out_b, cm.terms)
+            maps[id(cob)] = cm
+            return cm
+
+        monkeypatch.setattr(tqft, "_edge_columns", tampered)
+        try:
+            assemble_complex(cube)
+            err = None
+        except ConsistencyError as e:
+            err = str(e)
+        blocks = {}
+        for edge, cob in cube.edges.items():
+            cm = maps[id(cob)]
+            blocks[edge] = F2Matrix.from_coo(cm.dim_out, cm.dim_in, *cm.coo()).to_dense()
+        face = naive_face_check(cube.n, blocks)
+        if face is not None:
+            i, a, b = face
+            assert err == f"face at vertex {cube.bitstring(i)} axes {a},{b} does not commute"
+            outcomes["face"] += 1
+        elif moved["q"]:
+            assert err is not None and "does not preserve q" in err
+            outcomes["q"] += 1
+        else:
+            assert err is None
+            outcomes["none"] += 1
+    assert outcomes["face"] >= 50 and outcomes["q"] and outcomes["none"], outcomes
+
+
+def test_q_check_catches_shifted_entry(monkeypatch):
+    """An entry moved to another generator of the same target vertex keeps
+    the weight; flipping its last circle between 1 and X changes q."""
+    original = tqft._edge_columns
+    state = {"hit": False}
+
+    def shifted(space_i, space_j, cob):
+        cm = original(space_i, space_j, cob)
+        if not state["hit"]:
+            state["hit"] = True
+            col = int(np.flatnonzero(cm.terms >= 1)[-1])
+            out_a = cm.out_a.copy()
+            out_a[col] ^= 1
+            return tqft._ColumnMap(cm.dim_in, cm.dim_out, out_a, cm.out_b, cm.terms)
+        return cm
+
+    monkeypatch.setattr(tqft, "_edge_columns", shifted)
+    for word, faces in (("s2", True), ("s2 s1^-1 s2", False)):
+        state["hit"] = False
+        with pytest.raises(ConsistencyError, match="does not preserve q"):
+            assemble_complex(cube_of(word, 4), check_faces=faces)
+        assert state["hit"]
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data())
+def test_q_block_ranks_match_dense(data):
+    """Summed (w, q) sub-block ranks equal the dense rank of each weight block."""
+    strands = data.draw(st.sampled_from([2, 4, 6, 8]))
+    letters = data.draw(st.lists(
+        st.tuples(st.integers(1, strands - 1), st.sampled_from([-1, 1])), max_size=5
+    ))
+    cc = assemble_complex(build_cube(braid_to_twists(BraidWord(strands, tuple(letters))), strands))
+    fc = cc.to_filtered()
+    d_ranks = compute_pages(fc, r_max=1).pages[0].d_ranks
+    for w in fc.weight_values:
+        blk = fc.blocks.get((1, w))
+        assert d_ranks[w] == (dense_rank(blk.to_dense()) if blk is not None else 0)
+    with pytest.raises(ValueError, match="q grades"):
+        FilteredComplex(fc.weights, fc.blocks, cc.q[:-1])
 
 
 def test_to_filtered_shape():
