@@ -5,9 +5,10 @@ inputs: keys are sorted, no timestamps or host data appear on stdout,
 and timing goes to stderr.  Field names are frozen in
 report_schema.json at the repository root.
 
-Exit codes: 0 success, 1 input error, 2 internal consistency failure
-(a differential that fails to square to zero, or a non-commuting cube
-face), the latter with a witness dump on stderr.
+Exit codes: 0 success, 1 input error (an input too large to hold in
+memory included), 2 internal consistency failure (a differential that
+fails to square to zero, or a non-commuting cube face), the latter with
+a witness dump on stderr.
 """
 
 from __future__ import annotations
@@ -330,6 +331,9 @@ def main(argv=None) -> int:
         return 2
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory{f': {err}' if str(err) else ''}", file=sys.stderr)
         return 1
     finally:
         if _malloc_trim is not None:

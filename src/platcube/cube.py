@@ -47,6 +47,12 @@ CUPCAP = "cupcap"
 # is then far past what the block ranks reduce, so longer words are refused at once.
 MAX_TWISTS = 16
 
+# assemble_complex stores each (1, w) block of the differential densely, one
+# bit per entry.  4-strand s2^11, the largest corpus complex, needs 213 MiB for
+# its largest block, s2^12 1.7 GiB, and one twist on 32 strands 1 GiB: a block
+# above this limit is refused before anything is allocated.
+MAX_BLOCK_BYTES = 512 << 20
+
 
 def resolve_twist(sign: int, bit: int) -> str:
     """Which flat shape a twist of the given sign takes at bit 0 / 1."""

@@ -7,26 +7,20 @@ is dense.  ``matmul`` visits only the set bits of its left operand and
 costs nnz(a)·⌈b.cols/64⌉ word XORs, so squaring a sparse matrix such as
 a cube differential (at most 2 entries per edge per column) is cheap.
 
-Single vectors travel as Python ints with bit j = coordinate j; rows of
-a matrix convert to and from that form via ``row_int`` and
-``from_int_rows``.
-
-``rref`` is the one elimination loop: ``rank`` and ``kernel_basis``
-read its result.  ``Echelon`` reduces int vectors against
-rows gathered one at a time, for membership tests and for expressing a
-vector in the rows it was built from.
+``rref`` is the one elimination loop: ``rank`` reads its rank, and
+``kernel_basis`` is read off its reduced rows by numpy indexing.
+``row_int`` turns one row into a Python int, bit j = column j, for
+reporting a witness vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "F2Matrix",
-    "Echelon",
     "Subspace",
     "matmul",
     "rank",
@@ -80,19 +74,6 @@ class F2Matrix:
         return cls(rows, cols, packed.view("<u8").astype(np.uint64))
 
     @classmethod
-    def from_int_rows(cls, ints: Sequence[int], cols: int) -> "F2Matrix":
-        """Rows given as Python ints, bit j = column j."""
-        nw = _nwords(cols)
-        out = cls.zeros(len(ints), cols)
-        mask = (1 << cols) - 1
-        for i, v in enumerate(ints):
-            if v < 0 or v & ~mask:
-                raise ValueError(f"row {i} has bits outside {cols} columns")
-            for w in range(nw):
-                out.words[i, w] = (v >> (_WORD * w)) & 0xFFFFFFFFFFFFFFFF
-        return out
-
-    @classmethod
     def from_coo(cls, rows: int, cols: int, ri, ci) -> "F2Matrix":
         """Build from coordinate lists, entries accumulated mod 2."""
         out = cls.zeros(rows, cols)
@@ -110,9 +91,6 @@ class F2Matrix:
 
     def row_int(self, i: int) -> int:
         return int.from_bytes(self.words[i].astype("<u8").tobytes(), "little")
-
-    def row_ints(self) -> list[int]:
-        return [self.row_int(i) for i in range(self.rows)]
 
     def to_dense(self) -> np.ndarray:
         if self.cols == 0:
@@ -142,20 +120,6 @@ class F2Matrix:
             out = lo | hi
         out[:, -1] &= np.uint64(_pad_mask(width))
         return F2Matrix(height, width, out)
-
-    def premultiply_int(self, v: int) -> int:
-        """Row vector v (bit i = row i) times this matrix, as an int."""
-        if v == 0 or self.rows == 0 or self.cols == 0:
-            return 0
-        nbytes = (self.rows + 7) // 8
-        bits = np.unpackbits(
-            np.frombuffer(v.to_bytes(nbytes, "little"), dtype=np.uint8), bitorder="little"
-        )[: self.rows]
-        idx = np.nonzero(bits)[0]
-        if idx.size == 0:
-            return 0
-        acc = np.bitwise_xor.reduce(self.words[idx], axis=0)
-        return int.from_bytes(acc.astype("<u8").tobytes(), "little")
 
     def is_zero(self) -> bool:
         return not self.words.any()
@@ -282,41 +246,6 @@ def kernel_basis(m: F2Matrix) -> "Subspace":
     basis[np.arange(free.size), free] = 1
     basis[:, list(pivots)] = R.to_dense()[:rk, free].T
     return Subspace(F2Matrix.from_dense(basis))
-
-
-class Echelon:
-    """Independent int-encoded vectors, kept in echelon form as they come.
-
-    Each stored row is clear of the pivots (lowest set bits) of the rows
-    stored before it, so one pass in insertion order reduces a vector to
-    zero exactly when it lies in their span.  Every row also carries the
-    XOR of the tags of the added vectors it is made of, so the same pass
-    expresses a vector of the span in those tags.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, vectors: Iterable[int] = ()):
-        self.rows: list[tuple[int, int, int]] = []  # (pivot bit, row, tag)
-        for v in vectors:
-            self.add(v)
-
-    def reduce(self, v: int) -> tuple[int, int]:
-        """(residue, tag): v minus rows of the span, and their tags' XOR."""
-        tag = 0
-        for pivot, row, row_tag in self.rows:
-            if v & pivot:
-                v ^= row
-                tag ^= row_tag
-        return v, tag
-
-    def add(self, v: int, tag: int = 0) -> bool:
-        """Store v under the tag unless it lies in the span; True if stored."""
-        v, used = self.reduce(v)
-        if not v:
-            return False
-        self.rows.append((v & -v, v, tag ^ used))
-        return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -8,15 +8,14 @@ subspace chains
     Z_r^w = F_w  intersect  D^{-1}(F_{w+r})
     B_r^w = F_w  intersect  D(F_{w-r+1})
 
-give E_r^w = Z_r^w / (Z_{r-1}^{w+1} + B_{r-1}^w), and the differential
+give E_r^w = Z_r^w / (Z_{r-1}^{w+1} + B_r^w), and the differential
 d_r descends from D.  Because weights are sorted, every F_w is a
-coordinate subspace and each page reduces to small eliminations on
-contiguous index windows; quotient classes are handled by projecting to
-the weight-w coordinates, under which the Z_{r-1}^{w+1} part vanishes
-identically and only the boundary term survives.  Each window is one
-``kernel_basis`` (hence ``rref``) call; representatives are picked
-greedily from the kernel basis against an ``Echelon`` of the boundary
-rows, and the same ``Echelon`` expresses d_r images in them.
+coordinate subspace.  Projecting to the weight-w coordinates kills
+exactly Z_{r-1}^{w+1}, so dim E_r^w = z_r^w - b_r^w, where z_r^w and
+b_r^w are the dimensions of the weight-w parts of Z_r^w and B_r^w.  z_r^w
+is one ``kernel_basis`` (hence ``rref``) call on the contiguous window of
+weights [w, w + r) and one ``rank``; rank d_r^w = z_r^w - z_{r+1}^w, and
+b_r^w is the sum of the ranks of the d_s (s < r) that land at w.
 
 D is stored as one block per shift r >= 1 and source weight w.  Cube
 complexes feed in a pure weight-1 differential that keeps q: everything
@@ -28,11 +27,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from .f2linalg import Echelon, F2Matrix, _set_bits, kernel_basis, matmul, rank
+from .f2linalg import F2Matrix, _set_bits, kernel_basis, matmul, rank
 
 __all__ = [
     "FilteredComplex",
@@ -175,7 +174,7 @@ def load_higher_maps(fc: FilteredComplex, table: dict[tuple[int, int], F2Matrix]
     merged = dict(fc.blocks)
     for key, mat in table.items():
         merged[key] = merged[key] + mat if key in merged else mat
-    augmented = FilteredComplex(fc.weights, merged)
+    augmented = FilteredComplex(fc.weights, merged, fc.q)
     report = verify_d_squared(augmented)
     if not report.ok:
         raise HigherMapError(
@@ -257,65 +256,50 @@ def _d1_rank(fc: FilteredComplex, w: int) -> int:
     return total
 
 
-@dataclass
-class _PageLevel:
-    """Representative data of one (r, w) slot in the general path.
+def _cycle_dim(fc: FilteredComplex, d: F2Matrix, w: int, top: int) -> int:
+    """z_r^w, the dimension of the weight-w part of Z_r^w, with top = low_index(w + r).
 
-    lifts are the kernel vectors whose weight-w projections were picked
-    as representatives.  page holds the boundary rows (tag 0) and then
-    those projections, rep i tagged with bit i, so reducing a vector of
-    Z + B against it yields its class in the page as a bitmask over reps.
+    x in F_w lies in Z_r^w iff D kills its part in the window of weights
+    [w, w + r) there, so the weight-w part of Z_r^w is that of the kernel of
+    the window's diagonal block.
     """
-
-    lifts: list[int]
-    page: Echelon
-    m: int
-
-
-def _general_level(fc: FilteredComplex, d: F2Matrix, r: int, w: int) -> _PageLevel:
-    lo_w = fc.low_index(w)
-    hi_w = fc.low_index(w + 1)
-    m_w = hi_w - lo_w
-    z_lo, z_hi = lo_w, fc.low_index(w + r)
-    mz = d.submatrix(z_lo, z_hi, z_lo, z_hi)
-    zk = kernel_basis(mz)
-
-    b_lo = fc.low_index(w - r + 1)
-    b_hi = hi_w
-    cons = d.submatrix(b_lo, lo_w, b_lo, b_hi)
-    bk = kernel_basis(cons)
-    out_block = d.submatrix(lo_w, hi_w, b_lo, b_hi)
-    boundary = matmul(bk.basis, out_block.transpose()).row_ints() if bk.dim else []
-    page = Echelon(boundary)
-
-    lifts: list[int] = []
-    mask = (1 << m_w) - 1
-    for kvec in zk.basis.row_ints():
-        if page.add(kvec & mask, 1 << len(lifts)):
-            lifts.append(kvec)
-    return _PageLevel(lifts, page, m_w)
+    lo, hi = fc.block_range(w)
+    ker = kernel_basis(d.submatrix(lo, top, lo, top)).basis
+    return rank(ker.submatrix(0, ker.rows, 0, hi - lo))
 
 
-def _general_page(fc: FilteredComplex, d: F2Matrix, dt: F2Matrix, r: int) -> PageData:
-    levels = {w: _general_level(fc, d, r, w) for w in fc.weight_values}
-    dims = {w: len(levels[w].lifts) for w in fc.weight_values}
-    d_ranks = {}
-    for w in fc.weight_values:
-        src = levels[w]
-        tgt = levels.get(w + r)
-        rows_out = len(tgt.lifts) if tgt else 0
-        cols = [0] * len(src.lifts)
-        if tgt and tgt.m:
-            t_lo = fc.low_index(w + r)
-            src_lo = fc.low_index(w)
-            for ci, lift in enumerate(src.lifts):
-                x = dt.premultiply_int(lift << src_lo)
-                residue, cols[ci] = tgt.page.reduce((x >> t_lo) & ((1 << tgt.m) - 1))
-                if residue:
-                    raise AssertionError("page differential image escaped the target page")
-        # rows of this matrix are the columns of d_r; the rank is the same
-        d_ranks[w] = rank(F2Matrix.from_int_rows(cols, rows_out))
-    return PageData(r, dims, d_ranks)
+def _general_pages(fc: FilteredComplex, stop: int) -> list[PageData]:
+    """Pages E_1..E_stop of any filtered complex, from cycle dimensions alone.
+
+    dim E_r^w = z_r^w - b_r^w and rank d_r^w = z_r^w - z_{r+1}^w, because
+    the kernel of d_r^w is the weight-w part of Z_{r+1}^w modulo the same
+    boundaries b_r^w.  Those start at b_1 = 0, and the image of d_r^w joins
+    them at its target: b_{r+1}^{w+r} = b_r^{w+r} + rank d_r^w.
+    """
+    d = fc.differential
+    wvals = fc.weight_values
+    # windows that already reach past the top weight repeat: z_{r+1} = z_r there
+    z_of = cache(lambda w, top: _cycle_dim(fc, d, w, top))
+
+    def z(r: int) -> dict[int, int]:
+        return {w: z_of(w, fc.low_index(w + r)) for w in wvals}
+
+    pages = []
+    b = dict.fromkeys(wvals, 0)
+    z_r = z(1)
+    for r in range(1, stop + 1):
+        z_next = z(r + 1)
+        dims = {w: z_r[w] - b[w] for w in wvals}
+        d_ranks = {w: z_r[w] - z_next[w] for w in wvals}
+        for w, k in d_ranks.items():
+            # no generators at w + r: dims.get gives 0, so d_r^w must vanish
+            if not 0 <= k <= min(dims[w], dims.get(w + r, 0)):
+                raise AssertionError(f"d_{r} at weight {w} has rank {k}, beyond the pages it maps between")
+            if k:
+                b[w + r] += k
+        pages.append(PageData(r, dims, d_ranks))
+        z_r = z_next
+    return pages
 
 
 def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPages:
@@ -355,10 +339,7 @@ def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPage
             pages.append(PageData(2, dims2, {w: 0 for w in wvals}))
         stabilization = 2 if any(block_rank.values()) else 1
     else:
-        d = fc.differential
-        dt = d.transpose()
-        for r in range(1, stop + 1):
-            pages.append(_general_page(fc, d, dt, r))
+        pages = _general_pages(fc, stop)
         if stop == hard_stop:
             moved = [p.r for p in pages if any(p.d_ranks.values())]
             stabilization = max(moved, default=0) + 1

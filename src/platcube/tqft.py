@@ -22,11 +22,12 @@ map per cube axis.  It preserves Khovanov's q = #1 - #X + weight.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import ConsistencyError, Merge, ResolutionCube, Split
+from .cube import MAX_BLOCK_BYTES, ConsistencyError, Merge, ResolutionCube, Split
 from .f2linalg import F2Matrix
 from .specseq import FilteredComplex
 
@@ -139,6 +140,22 @@ class ChainComplexF2:
         return FilteredComplex(self.weights, self.blocks, self.q)
 
 
+def _check_block_bytes(cube: ResolutionCube) -> None:
+    """Refuse a cube whose largest dense (1, w) block exceeds MAX_BLOCK_BYTES.
+
+    Sizes come from the circle counts alone, so nothing is allocated.
+    """
+    size = Counter()  # generators per weight
+    for v, vertex in cube.vertices.items():
+        size[cube.weight(v)] += 1 << vertex.count
+    nbytes, w = max((size[w + 1] * 8 * -(-size[w] // 64), w) for w in size)
+    if nbytes > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"the differential block out of weight {w} needs {nbytes / 2**20:.0f} MiB, "
+            f"over the limit of {MAX_BLOCK_BYTES >> 20} MiB"
+        )
+
+
 def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainComplexF2:
     """Glue the edge blocks into one block per source weight.
 
@@ -147,8 +164,10 @@ def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainCom
     the blocks are trusted, as D_b∘D_a = D_a∘D_b per axis pair a < b: faces
     at different vertices have different source columns.  Every entry must
     also keep q.  A failure raises ConsistencyError since it can only come
-    from a convention bug, never from input.
+    from a convention bug, never from input.  A cube whose largest block
+    would exceed ``MAX_BLOCK_BYTES`` is refused with ValueError first.
     """
+    _check_block_bytes(cube)
     order = sorted(cube.vertices, key=lambda v: (cube.weight(v), v))
     spaces = {v: VertexSpace(cube.vertices[v].circles) for v in order}
     dims = [spaces[v].dim for v in order]

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -178,6 +179,33 @@ def test_huge_word_fails_fast(capsys):
     assert err.startswith("error: 40 twists exceed the limit of 16")
 
 
+def test_oversized_block_fails_fast(monkeypatch, capsys):
+    """One twist on 32 strands needs a 1 GiB dense block; nothing is allocated."""
+    from platcube.f2linalg import F2Matrix
+
+    def refuse(self, *args):
+        raise AssertionError("an F2Matrix was built")
+
+    monkeypatch.setattr(F2Matrix, "__init__", refuse)
+    started = time.monotonic()
+    code, out, err = invoke(["--strands", "32", "--word", "s1"], capsys)
+    assert time.monotonic() - started < 1.0
+    assert code == 1 and out == ""
+    assert err.startswith("error: the differential block out of weight -1 needs 1024 MiB")
+
+
+def test_memory_error_is_an_input_error(monkeypatch, capsys):
+    from platcube import cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 256. GiB")
+
+    monkeypatch.setattr(cli, "assemble_complex", exhausted)
+    code, out, err = invoke(TREFOIL, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: out of memory: Unable to allocate 256. GiB\n"
+
+
 @settings(deadline=None, max_examples=150)
 @given(
     st.sampled_from(["2", "4", "6"]),
@@ -269,6 +297,69 @@ def test_higher_maps_comments_and_spacing(tmp_path, capsys):
     path = write_table(tmp_path, messy)
     code, out, err = invoke(["--strands", "4", "--word", "s2 s2", "--higher-maps", path], capsys)
     assert code == 0  # an all-zero block is a no-op
+
+
+def _vertex_table(strands, word):
+    """(bitstring, weight, dim) of every vertex of the word's cube."""
+    from platcube.cube import braid_to_twists, build_cube
+    from platcube.tangle import parse_braid_word
+
+    cube = build_cube(braid_to_twists(parse_braid_word(word, strands)), strands)
+    return [(cube.bitstring(v), cube.weight(v), 1 << cube.circle_count(v)) for v in sorted(cube.vertices)]
+
+
+FUZZ_WORDS = [(4, "s2 s2"), (4, "s2 s2 s2"), (4, "s2 s1^-1 s2")]
+FUZZ_VERTICES = {word: _vertex_table(strands, word) for strands, word in FUZZ_WORDS}
+
+
+@st.composite
+def higher_maps_tables(draw):
+    """A word and a table of structurally valid records, some slightly off.
+
+    Bitstrings name real vertices; the shift, the row count or the row
+    width may be one off; entries are random; comments and blank space are
+    strewn in.
+    """
+    strands, word = draw(st.sampled_from(FUZZ_WORDS))
+    vertices = FUZZ_VERTICES[word]
+    # mostly a pair that a shift >= 2 block may join
+    raising = [(a, b) for a in vertices for b in vertices if b[1] >= a[1] + 2]
+    any_pair = st.tuples(st.sampled_from(vertices), st.sampled_from(vertices))
+    lines = []
+    for _ in range(draw(st.integers(0, 3))):
+        pair = draw(st.sampled_from([st.sampled_from(raising)] * 3 + [any_pair]))
+        (src_bits, src_w, src_dim), (tgt_bits, tgt_w, tgt_dim) = draw(pair)
+        # at most one of shift, row count and width is one off
+        slip = draw(st.sampled_from([None, None, None, "shift", "rows", "cols"]))
+        off = {slip: draw(st.sampled_from([1, -1]))}
+        shift = tgt_w - src_w + off.get("shift", 0)
+        rows, cols = tgt_dim + off.get("rows", 0), src_dim + off.get("cols", 0)
+        lines.append(f"{shift} {src_bits}  {tgt_bits}" + draw(st.sampled_from(["", " # block", "\t"])))
+        for _ in range(rows):
+            bits = draw(st.lists(st.sampled_from("0001"), min_size=cols, max_size=cols))
+            lines.append("".join(bits) + draw(st.sampled_from(["", "  ", " # row"])))
+        if draw(st.booleans()):
+            lines.append(draw(st.sampled_from(["", "# comment", "   "])))
+    return strands, word, "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n  "]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(higher_maps_tables())
+def test_higher_maps_fuzz_never_tracebacks(case):
+    """Near-valid tables end in an exit code, never a traceback; accepted ones run the pages."""
+    strands, word, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "maps.txt")
+        with open(path, "w") as fh:
+            fh.write(text)
+        argv = ["--strands", str(strands), "--word", word, "--higher-maps", path, "--pages", "--json"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2), (text, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert json.loads(out.getvalue())["stabilization"] is not None
 
 
 # -- console entry point ----------------------------------------------

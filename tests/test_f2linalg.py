@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from platcube import f2linalg
 from platcube.cube import braid_to_twists, build_cube
 from platcube.f2linalg import (
-    Echelon,
     F2Matrix,
     kernel_basis,
     matmul,
@@ -27,10 +26,6 @@ def rand_dense(rng, rows, cols, density=0.5):
     return flat.reshape(rows, cols)
 
 
-def vec_int(row) -> int:
-    return sum(int(b) << i for i, b in enumerate(row))
-
-
 # -- round trips ------------------------------------------------------
 
 
@@ -44,10 +39,10 @@ def test_dense_roundtrip():
 
 
 def test_int_rows_roundtrip():
+    # rows across three words read back as the ints they were built from
     rng = random.Random(1)
     ints = [rng.getrandbits(130) for _ in range(9)]
-    m = F2Matrix.from_int_rows(ints, 130)
-    assert m.row_ints() == ints
+    m = F2Matrix.from_dense([[v >> j & 1 for j in range(130)] for v in ints])
     assert [m.row_int(i) for i in range(9)] == ints
 
 
@@ -55,7 +50,7 @@ def test_bitstring_orientation():
     # column j of a dense row is bit j of its int form
     m = F2Matrix.from_dense([[1, 0, 0], [0, 1, 0]])
     assert m.row_int(0) == 1 and m.row_int(1) == 2
-    assert m == F2Matrix.from_int_rows([1, 2], 3)
+    assert m == F2Matrix.from_coo(2, 3, [0, 1], [0, 1])
     assert m.to_dense().tolist() == [[1, 0, 0], [0, 1, 0]]
 
 
@@ -173,17 +168,6 @@ def test_transpose():
         assert t.transpose() == m
 
 
-def test_apply_and_premultiply():
-    rng = random.Random(7)
-    for _ in range(40):
-        rows, cols = rng.randint(1, 30), rng.randint(1, 130)
-        a = rand_dense(rng, rows, cols)
-        m = F2Matrix.from_dense(a)
-        u = rng.getrandbits(rows)
-        uu = np.array([u >> i & 1 for i in range(rows)], dtype=np.uint8)
-        assert m.premultiply_int(u) == vec_int(uu @ a % 2)
-
-
 @settings(deadline=None, max_examples=60)
 @given(
     rows=st.integers(1, 12),
@@ -229,7 +213,7 @@ def test_rank_nullity(seed, rows, cols):
     assert rank(m) == rank(m.transpose())
 
 
-# -- row spaces and echelon reduction ---------------------------------
+# -- row spaces ------------------------------------------------------
 
 
 def test_subspace_canonical_equality():
@@ -245,23 +229,3 @@ def test_subspace_canonical_equality():
         mixed = mixed[rng.sample(range(len(mixed)), len(mixed))]
         assert rref(F2Matrix.from_dense(mixed))[0] == rref(F2Matrix.from_dense(m))[0]
 
-
-def test_solve_row_combination():
-    # an Echelon tagged with row indices expresses span vectors in the rows
-    rng = random.Random(16)
-    for _ in range(30):
-        rows, cols = rng.randint(1, 18), rng.randint(1, 60)
-        m = F2Matrix.from_dense(rand_dense(rng, rows, cols))
-        ech = Echelon()
-        kept = [ech.add(m.row_int(i), 1 << i) for i in range(rows)]
-        assert sum(kept) == rank(m)
-        combo = rng.getrandbits(rows)
-        v = m.premultiply_int(combo)
-        residue, c = ech.reduce(v)
-        assert residue == 0
-        assert m.premultiply_int(c) == v
-        assert not any(c >> i & 1 for i in range(rows) if not kept[i])
-        probe = rng.getrandbits(cols)
-        outside = dense_rank(np.vstack([m.to_dense(), [probe >> j & 1 for j in range(cols)]])) > rank(m)
-        assert (ech.reduce(probe)[0] != 0) == outside
-        assert ech.add(probe) == outside

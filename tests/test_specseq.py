@@ -5,8 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from platcube import specseq
 from platcube.cube import braid_to_twists, build_cube
-from platcube.f2linalg import F2Matrix, matmul
+from platcube.f2linalg import F2Matrix, matmul, rank
 from platcube.specseq import (
     FilteredComplex,
     HigherMapError,
@@ -15,7 +16,7 @@ from platcube.specseq import (
     rank_bounds,
     verify_d_squared,
 )
-from platcube.specseq import _general_page
+from platcube.specseq import _general_pages
 from platcube.tangle import BraidWord, parse_braid_word
 from platcube.tqft import assemble_complex
 
@@ -176,16 +177,29 @@ def test_empty_table_is_identity():
     assert load_higher_maps(fc, {}) is fc
 
 
-def test_zero_block_changes_nothing():
+def test_zero_block_changes_nothing(monkeypatch):
     fc = filtered_of("s2 s2", 4)
     w0 = fc.weight_values[0]
     lo, hi = fc.block_range(w0)
     t0, t1 = fc.block_range(w0 + 2)
     out = load_higher_maps(fc, {(2, w0): F2Matrix.zeros(t1 - t0, hi - lo)})
-    a = compute_pages(fc)
-    b = compute_pages(out)
-    assert [p.dims for p in a.pages] == [p.dims for p in b.pages][: len(a.pages)]
-    assert b.stabilization is not None
+    assert out.q is fc.q  # shift >= 2 blocks leave the q grading valid
+
+    def ranked(cx):
+        shapes = []
+
+        def recording(m):
+            shapes.append(m.shape)
+            return rank(m)
+
+        monkeypatch.setattr(specseq, "rank", recording)
+        pages = compute_pages(cx)
+        monkeypatch.undo()
+        assert pages.stabilization is not None
+        return shapes, [(p.r, p.dims, p.d_ranks) for p in pages.pages]
+
+    # the same (w, q) sub-blocks are ranked, not whole weight blocks
+    assert ranked(out) == ranked(fc)
 
 
 def test_higher_map_shift_bounds():
@@ -341,19 +355,15 @@ def test_conjugated_matches_cancellation():
 
 
 def test_fast_and_general_paths_agree():
+    """On pure-d1 complexes the general pages repeat the (w, q) block ranks."""
     rng = random.Random(3)
     for _ in range(6):
         fc = random_filtered(rng, max_len=4)
         if fc.n == 0:
             continue
-        pages = compute_pages(fc)
-        d = fc.differential
-        dt = d.transpose()
-        for r in (1, 2):
-            gen = _general_page(fc, d, dt, r)
-            assert gen.dims == pages.dims(r)
-            if r == 1:
-                assert gen.d_ranks == pages.page(1).d_ranks
+        fast = compute_pages(fc).pages
+        general = _general_pages(fc, len(fast))
+        assert [(p.r, p.dims, p.d_ranks) for p in general] == [(p.r, p.dims, p.d_ranks) for p in fast]
 
 
 # -- toy complexes with genuine higher differentials ------------------
@@ -369,6 +379,62 @@ def test_nonzero_d2():
     assert pages.dims(3) == {0: 0, 2: 0}
     assert pages.stabilization == 3
     assert pages.e_infinity_total == 0 == oracle_homology_dim(fc)
+
+
+def canonical_complex(rng, spread):
+    """Disjoint arrows x -> y of shift 1..spread plus free generators.
+
+    Returns the sorted weights, the dense differential and the arrows as
+    (source weight, shift).  In this form d_r is exactly the arrows of
+    shift r, and every other generator survives to E_infinity.
+    """
+    arrows = []
+    for _ in range(rng.randint(0, 6)):
+        s = rng.randint(1, spread)
+        arrows.append((rng.randint(0, spread - s), s))
+    free = [rng.randint(0, spread) for _ in range(rng.randint(0, 4))]
+    ends = [(w, i, "x") for i, (w, _) in enumerate(arrows)]
+    ends += [(w + s, i, "y") for i, (w, s) in enumerate(arrows)]
+    ends += [(w, -1, "free") for w in free]
+    ends.sort()
+    index = {(i, role): k for k, (_, i, role) in enumerate(ends)}
+    d = np.zeros((len(ends), len(ends)), dtype=np.uint8)
+    for i in range(len(arrows)):
+        d[index[(i, "y")], index[(i, "x")]] = 1
+    return [w for w, _, _ in ends], d, arrows
+
+
+def test_canonical_complexes_rank_every_d_r():
+    """d_r ranks and the stabilization of conjugated canonical complexes.
+
+    Conjugation is a filtered isomorphism, so it keeps the pages but
+    smears each arrow across higher-shift blocks: the ranks must still
+    count the arrows of shift r leaving weight w.
+    """
+    rng = random.Random(5)
+    higher = 0
+    for _ in range(300):
+        weights, d, arrows = canonical_complex(rng, rng.randint(1, 4))
+        fc = fc_from_dense(weights, conjugate_dense(weights, d, rng))
+        pages = compute_pages(fc)
+        for page in pages.pages:
+            want = {w: sum(1 for a in arrows if a == (w, page.r)) for w in fc.weight_values}
+            assert page.d_ranks == want
+            higher += sum(v > 0 for v in want.values()) if page.r >= 2 else 0
+            # an arrow of shift s < r is gone from E_r at both its ends
+            gone = [w for w, s in arrows if s < page.r] + [w + s for w, s in arrows if s < page.r]
+            assert page.dims == {w: weights.count(w) - gone.count(w) for w in fc.weight_values}
+        assert pages.stabilization == max((s for _, s in arrows), default=0) + 1
+    assert higher >= 100  # the draws do reach d_2 and beyond
+
+
+def test_page_ranks_are_checked(monkeypatch):
+    """A d_r rank outside [0, min(dim E_r^w, dim E_r^{w+r})] is an internal error."""
+    fc = FilteredComplex((0, 1, 1, 2), {(2, 0): F2Matrix.from_dense([[1]])})
+    # cycle dimensions that grow with the window would give d_1 a negative rank
+    monkeypatch.setattr(specseq, "_cycle_dim", lambda fc, d, w, top: top)
+    with pytest.raises(AssertionError, match="d_1 at weight 0 has rank -2"):
+        compute_pages(fc)
 
 
 def test_empty_complex():

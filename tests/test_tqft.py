@@ -348,3 +348,15 @@ def test_to_filtered_shape():
         assert ends[0][0] == 0 and ends[-1][1] == hi - lo
         assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
     assert all(a <= b for a, b in zip(fc.weights, fc.weights[1:]))
+
+
+def test_block_size_guard():
+    """The largest dense (1, w) block is sized from the circle counts alone."""
+    from platcube.cube import MAX_BLOCK_BYTES
+
+    assert MAX_BLOCK_BYTES == 512 << 20
+    tqft._check_block_bytes(cube_of(" ".join(["s2"] * 11), 4))  # 213 MiB: admitted
+    with pytest.raises(ValueError, match="needs 1702 MiB, over the limit of 512 MiB"):
+        tqft._check_block_bytes(cube_of(" ".join(["s2"] * 12), 4))
+    with pytest.raises(ValueError, match="needs 1024 MiB"):
+        assemble_complex(cube_of("s1", 32))
