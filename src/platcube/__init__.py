@@ -5,8 +5,8 @@ crossing region both flat ways to get a hypercube of circle diagrams,
 apply the two-dimensional mod-2 Frobenius calculus to get a
 weight-filtered chain complex, and run the spectral sequence of the
 filtration to extract page dimensions and the nested rank bounds.
-Checkerboard determinants and a free-circle doubling test provide
-independent cross-checks.
+Checkerboard determinants, read off the diagram without the cube, give
+an independent cross-check of E_2, also when a free circle is added.
 """
 
 from .cube import (
@@ -28,9 +28,7 @@ from .f2linalg import (
     rref,
 )
 from .invariants import (
-    DoublingResult,
     GoeritzData,
-    aux_doubling_check,
     determinant,
     goeritz_data,
 )
@@ -65,7 +63,6 @@ __all__ = [
     "BraidWord",
     "ChainComplexF2",
     "CubeVertex",
-    "DoublingResult",
     "F2Matrix",
     "FilteredComplex",
     "GoeritzData",
@@ -81,7 +78,6 @@ __all__ = [
     "VertexSpace",
     "add_aux_unknot",
     "assemble_complex",
-    "aux_doubling_check",
     "braid_to_twists",
     "build_cube",
     "compute_pages",

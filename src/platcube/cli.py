@@ -21,7 +21,7 @@ import sys
 import time
 from collections import Counter
 
-from .cube import ConsistencyError, add_aux_unknot, braid_to_twists, build_cube
+from .cube import MAX_BLOCK_BYTES, ConsistencyError, add_aux_unknot, braid_to_twists, build_cube
 from .f2linalg import F2Matrix
 from .invariants import goeritz_data
 from .specseq import HigherMapError, compute_pages, load_higher_maps, rank_bounds
@@ -159,6 +159,13 @@ def run(
     b = parse_braid_word(word, strands)
     if use_mirror:
         b = mirror(b)
+    # the standard closure has strands/2 circles, and each twist changes a count by one
+    least = strands // 2 - len(b)
+    if not plat_text and least >= (MAX_BLOCK_BYTES // 8).bit_length():  # 2^least int64s exceed it
+        raise ValueError(
+            f"{strands} strands and {len(b)} twists give at least 2^{least} generators, "
+            f"over the limit of {MAX_BLOCK_BYTES >> 20} MiB per array"
+        )
     plat = parse_plat(plat_text, strands) if plat_text else PlatClosure.standard(strands)
     if plat.strands != strands:
         raise ValueError("plat closure strand count does not match --strands")

@@ -9,10 +9,6 @@ integer matrix whose determinant, up to sign, is the determinant of the
 closed diagram.  A connected unknot diagram gives the empty matrix and
 determinant 1; a disconnected (split) diagram has determinant 0 and is
 flagged, since the colouring argument needs a connected diagram.
-
-The doubling check builds the cube complex twice - once as given and
-once with two extra unlinked strands closed into a free circle - and
-compares E_2 totals, which the free circle must exactly double.
 """
 
 from __future__ import annotations
@@ -21,17 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cube import add_aux_unknot, braid_to_twists, build_cube
-from .specseq import compute_pages
 from .tangle import BraidWord, PlatClosure, _UnionFind
-from .tqft import assemble_complex
 
 __all__ = [
     "GoeritzData",
     "goeritz_data",
     "determinant",
-    "DoublingResult",
-    "aux_doubling_check",
 ]
 
 
@@ -192,23 +183,3 @@ def _int_det(m: np.ndarray) -> int:
 def determinant(b: BraidWord, plat: PlatClosure | None = None) -> int:
     """|det| of the plat closure via the Goeritz form; 0 when split."""
     return goeritz_data(b, plat).determinant
-
-
-@dataclass(frozen=True)
-class DoublingResult:
-    passed: bool
-    base_total: int
-    doubled_total: int
-
-
-def aux_doubling_check(b: BraidWord, plat: PlatClosure | None = None) -> DoublingResult:
-    """Adding a free unlinked circle must double the E_2 total."""
-    if plat is None:
-        plat = PlatClosure.standard(b.strands)
-    ts = braid_to_twists(b)
-    base = assemble_complex(build_cube(ts, b.strands, plat))
-    base_total = compute_pages(base.to_filtered(), r_max=2).total(2)
-    aux_strands, aux_plat = add_aux_unknot(b.strands, plat)
-    doubled = assemble_complex(build_cube(ts, aux_strands, aux_plat, aux_unknot=True))
-    doubled_total = compute_pages(doubled.to_filtered(), r_max=2).total(2)
-    return DoublingResult(doubled_total == 2 * base_total, base_total, doubled_total)

@@ -13,19 +13,22 @@ d_r descends from D.  Because weights are sorted, every F_w is a
 coordinate subspace.  Projecting to the weight-w coordinates kills
 exactly Z_{r-1}^{w+1}, so dim E_r^w = z_r^w - b_r^w, where z_r^w and
 b_r^w are the dimensions of the weight-w parts of Z_r^w and B_r^w.  z_r^w
-is one ``kernel_basis`` (hence ``rref``) call on the contiguous window of
-weights [w, w + r) and one ``rank``; rank d_r^w = z_r^w - z_{r+1}^w, and
+is read off the kernel of the diagonal block of D on the contiguous window
+of weights [w, w + r); rank d_r^w = z_r^w - z_{r+1}^w, and
 b_r^w is the sum of the ranks of the d_s (s < r) that land at w.
 
-D is stored as one block per shift r >= 1 and source weight w.  Cube
-complexes feed in a pure weight-1 differential that keeps q: everything
-collapses no later than E_2, and the pages are ranks of (w, q) blocks.
-The n-by-n matrix is built only for externally supplied blocks' windows.
+D is stored as one block per shift r >= 1 and source weight w.  z_1^w is
+the number m_w of weight-w generators, and z_2^w = m_w - rank of the (1, w)
+block, a sum of (w, q) sub-block ranks when the complex carries q.  A pure
+weight-1 differential, such as the cube's, has z_r^w = z_2^w for r >= 2.
+Only wider windows of a complex with higher maps are built, from the
+blocks, and eliminated.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -80,16 +83,22 @@ class FilteredComplex:
     def n(self) -> int:
         return len(self.weights)
 
-    @cached_property
-    def differential(self) -> F2Matrix:
-        """The n-by-n matrix, from the blocks' set bits; for the general page path."""
+    def window(self, lo: int, hi: int) -> F2Matrix:
+        """The diagonal block of D on the generators of weights [lo, hi), from the blocks' set bits."""
+        base, top = self.low_index(lo), self.low_index(hi)
         ri, ci = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         for (r, w), mat in self.blocks.items():
-            words = mat.words.reshape(-1)
-            rows, cols = _set_bits(words, mat.words.shape[1], np.flatnonzero(words))
-            ri.append(rows + self.low_index(w + r))
-            ci.append(cols + self.low_index(w))
-        return F2Matrix.from_coo(self.n, self.n, np.concatenate(ri), np.concatenate(ci))
+            if lo <= w and w + r < hi:
+                words = mat.words.reshape(-1)
+                rows, cols = _set_bits(words, mat.words.shape[1], np.flatnonzero(words))
+                ri.append(rows + self.low_index(w + r) - base)
+                ci.append(cols + self.low_index(w) - base)
+        return F2Matrix.from_coo(top - base, top - base, np.concatenate(ri), np.concatenate(ci))
+
+    @cached_property
+    def differential(self) -> F2Matrix:
+        """The n-by-n matrix of D: the window over every weight."""
+        return self.window(self.weights[0], self.weights[-1] + 1) if self.n else F2Matrix.zeros(0, 0)
 
     @cached_property
     def weight_values(self) -> tuple[int, ...]:
@@ -256,57 +265,43 @@ def _d1_rank(fc: FilteredComplex, w: int) -> int:
     return total
 
 
-def _cycle_dim(fc: FilteredComplex, d: F2Matrix, w: int, top: int) -> int:
-    """z_r^w, the dimension of the weight-w part of Z_r^w, with top = low_index(w + r).
+def _cycle_dims(fc: FilteredComplex) -> Callable[[int, int], int]:
+    """z(w, r) = z_r^w, the dimension of the weight-w part of Z_r^w.
 
     x in F_w lies in Z_r^w iff D kills its part in the window of weights
     [w, w + r) there, so the weight-w part of Z_r^w is that of the kernel of
-    the window's diagonal block.
+    the window's diagonal block.  A window is keyed by its last weight that
+    has generators, so each one is computed once: a window that already
+    reaches past the top weight repeats the last.
     """
-    lo, hi = fc.block_range(w)
-    ker = kernel_basis(d.submatrix(lo, top, lo, top)).basis
-    return rank(ker.submatrix(0, ker.rows, 0, hi - lo))
+    higher = fc.max_shift > 1
 
+    @cache
+    def window_dim(w: int, end: int) -> int:
+        lo, hi = fc.block_range(w)
+        if end == w + 1:  # weight w alone, where D has no block
+            return hi - lo
+        if end == w + 2:  # only the (1, w) block acts
+            return hi - lo - _d1_rank(fc, w)
+        ker = kernel_basis(fc.window(w, end)).basis
+        return rank(ker.submatrix(0, ker.rows, 0, hi - lo))
 
-def _general_pages(fc: FilteredComplex, stop: int) -> list[PageData]:
-    """Pages E_1..E_stop of any filtered complex, from cycle dimensions alone.
+    def z(w: int, r: int) -> int:
+        # a pure weight-1 differential has z_r = z_2 for every r >= 2
+        top = fc.low_index(w + (r if higher else min(r, 2)))
+        return window_dim(w, fc.weights[top - 1] + 1)
 
-    dim E_r^w = z_r^w - b_r^w and rank d_r^w = z_r^w - z_{r+1}^w, because
-    the kernel of d_r^w is the weight-w part of Z_{r+1}^w modulo the same
-    boundaries b_r^w.  Those start at b_1 = 0, and the image of d_r^w joins
-    them at its target: b_{r+1}^{w+r} = b_r^{w+r} + rank d_r^w.
-    """
-    d = fc.differential
-    wvals = fc.weight_values
-    # windows that already reach past the top weight repeat: z_{r+1} = z_r there
-    z_of = cache(lambda w, top: _cycle_dim(fc, d, w, top))
-
-    def z(r: int) -> dict[int, int]:
-        return {w: z_of(w, fc.low_index(w + r)) for w in wvals}
-
-    pages = []
-    b = dict.fromkeys(wvals, 0)
-    z_r = z(1)
-    for r in range(1, stop + 1):
-        z_next = z(r + 1)
-        dims = {w: z_r[w] - b[w] for w in wvals}
-        d_ranks = {w: z_r[w] - z_next[w] for w in wvals}
-        for w, k in d_ranks.items():
-            # no generators at w + r: dims.get gives 0, so d_r^w must vanish
-            if not 0 <= k <= min(dims[w], dims.get(w + r, 0)):
-                raise AssertionError(f"d_{r} at weight {w} has rank {k}, beyond the pages it maps between")
-            if k:
-                b[w + r] += k
-        pages.append(PageData(r, dims, d_ranks))
-        z_r = z_next
-    return pages
+    return z
 
 
 def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPages:
     """Pages E_1, E_2, ... with their differentials and ranks.
 
     Stops at r_max when given, else at the first page guaranteed final:
-    weight spread + 1 in general, E_2 for a pure weight-1 differential.
+    weight spread + 1 in general, E_2 for a pure weight-1 differential,
+    whose stabilization E_1's ranks already tell.  rank d_r^w = z_r^w -
+    z_{r+1}^w, because the kernel of d_r^w is the weight-w part of Z_{r+1}^w
+    modulo the same boundaries b_r^w.  Its image joins them at its target.
     """
     report = verify_d_squared(fc)
     if not report.ok:
@@ -316,36 +311,28 @@ def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPage
     if r_max is not None and r_max < 1:
         raise ValueError("r_max must be at least 1")
 
-    if fc.n == 0:
-        empty = PageData(1, {}, {})
-        return SpectralPages((empty,), 1, ())
-
     wvals = fc.weight_values
-    spread = wvals[-1] - wvals[0]
-    hard_stop = spread + 1 if spread >= 1 else 1
-    stop = hard_stop if r_max is None else min(r_max, hard_stop)
-    pure_d1 = fc.max_shift <= 1
-    if pure_d1:
-        stop = min(stop, 2)
+    spread = wvals[-1] - wvals[0] if wvals else 0
+    higher = fc.max_shift > 1
+    final = spread + 1 if higher else min(spread + 1, 2)
+    stop = final if r_max is None else min(r_max, final)
 
-    pages: list[PageData] = []
-    if pure_d1:
-        # E_2 from block ranks alone
-        block_rank = {w: _d1_rank(fc, w) for w in wvals}
-        dims1 = {w: hi - lo for w, (lo, hi) in zip(wvals, map(fc.block_range, wvals))}
-        pages.append(PageData(1, dims1, block_rank))
-        if stop >= 2:
-            dims2 = {w: dims1[w] - block_rank[w] - block_rank.get(w - 1, 0) for w in wvals}
-            pages.append(PageData(2, dims2, {w: 0 for w in wvals}))
-        stabilization = 2 if any(block_rank.values()) else 1
-    else:
-        pages = _general_pages(fc, stop)
-        if stop == hard_stop:
-            moved = [p.r for p in pages if any(p.d_ranks.values())]
-            stabilization = max(moved, default=0) + 1
-        else:
-            stabilization = None
+    z = _cycle_dims(fc)
+    pages = []
+    b = dict.fromkeys(wvals, 0)
+    for r in range(1, stop + 1):
+        dims = {w: z(w, r) - b[w] for w in wvals}
+        d_ranks = {w: z(w, r) - z(w, r + 1) for w in wvals}
+        for w, k in d_ranks.items():
+            # no generators at w + r: dims.get gives 0, so d_r^w must vanish
+            if not 0 <= k <= min(dims[w], dims.get(w + r, 0)):
+                raise AssertionError(f"d_{r} at weight {w} has rank {k}, beyond the pages it maps between")
+            if k:
+                b[w + r] += k
+        pages.append(PageData(r, dims, d_ranks))
 
+    moved = [p.r for p in pages if any(p.d_ranks.values())]
+    stabilization = max(moved, default=0) + 1 if stop == final or not higher else None
     return SpectralPages(tuple(pages), stabilization, wvals)
 
 

@@ -141,9 +141,11 @@ class ChainComplexF2:
 
 
 def _check_block_bytes(cube: ResolutionCube) -> None:
-    """Refuse a cube whose largest dense (1, w) block exceeds MAX_BLOCK_BYTES.
+    """Refuse a cube whose largest dense (1, w) block or int64 column map exceeds MAX_BLOCK_BYTES.
 
-    Sizes come from the circle counts alone, so nothing is allocated.
+    A column map holds one int64 per generator and cube axis, or per
+    generator on a cube without axes.  Sizes come from the circle counts
+    alone, so nothing is allocated.
     """
     size = Counter()  # generators per weight
     for v, vertex in cube.vertices.items():
@@ -152,6 +154,13 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
     if nbytes > MAX_BLOCK_BYTES:
         raise ValueError(
             f"the differential block out of weight {w} needs {nbytes / 2**20:.0f} MiB, "
+            f"over the limit of {MAX_BLOCK_BYTES >> 20} MiB"
+        )
+    n = sum(size.values())
+    nbytes = 8 * n * max(cube.n, 1)
+    if nbytes > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"the column maps of {n} generators need {nbytes / 2**20:.0f} MiB, "
             f"over the limit of {MAX_BLOCK_BYTES >> 20} MiB"
         )
 
@@ -164,8 +173,9 @@ def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainCom
     the blocks are trusted, as D_b∘D_a = D_a∘D_b per axis pair a < b: faces
     at different vertices have different source columns.  Every entry must
     also keep q.  A failure raises ConsistencyError since it can only come
-    from a convention bug, never from input.  A cube whose largest block
-    would exceed ``MAX_BLOCK_BYTES`` is refused with ValueError first.
+    from a convention bug, never from input.  A cube whose largest block or
+    column map would exceed ``MAX_BLOCK_BYTES`` is refused with ValueError
+    before any array is allocated.
     """
     _check_block_bytes(cube)
     order = sorted(cube.vertices, key=lambda v: (cube.weight(v), v))

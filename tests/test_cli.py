@@ -194,6 +194,37 @@ def test_oversized_block_fails_fast(monkeypatch, capsys):
     assert err.startswith("error: the differential block out of weight -1 needs 1024 MiB")
 
 
+def test_absurd_strand_count_fails_fast(monkeypatch, capsys):
+    """The standard closure of 10^9 strands is refused from the count alone.
+
+    Every vertex keeps at least strands/2 - N circles, so 2^(strands/2 - N)
+    generators; a --plat closure is refused by the assembly guard instead.
+    """
+    import numpy as np
+
+    from platcube.tangle import PlatClosure
+
+    code, out, err = invoke(["--strands", "40", "--word", "", "--json"], capsys)
+    assert code == 0 and json.loads(out)["e2"]["total"] == 2**20  # 2^20 generators still run
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the closure or an array was built")
+
+    monkeypatch.setattr(PlatClosure, "standard", refuse)
+    for name in ("arange", "cumsum", "repeat", "unique", "zeros"):
+        monkeypatch.setattr(np, name, refuse)
+    for strands, least in (("1000000000", 500000000), ("64", 32)):
+        code, out, err = invoke(["--strands", strands, "--word", ""], capsys)
+        assert code == 1 and out == ""
+        assert err == f"error: {strands} strands and 0 twists give at least 2^{least} generators, over the limit of 512 MiB per array\n"
+    code, out, err = invoke(["--strands", "60", "--word", "s2 s2 s2"], capsys)
+    assert code == 1 and err.startswith("error: 60 strands and 3 twists give at least 2^27")
+    pairs = ",".join(f"{i}-{i + 1}" for i in range(1, 64, 2))
+    code, out, err = invoke(["--strands", "64", "--word", "", "--plat", f"{pairs}/{pairs}"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: the column maps of 4294967296 generators need 32768 MiB")
+
+
 def test_memory_error_is_an_input_error(monkeypatch, capsys):
     from platcube import cli
 

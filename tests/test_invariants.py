@@ -5,9 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from platcube import cli
 from platcube.invariants import (
     _int_det,
-    aux_doubling_check,
     determinant,
     goeritz_data,
 )
@@ -176,18 +176,22 @@ def test_int_det_reference():
 # -- doubling ---------------------------------------------------------
 
 
+def doubling(strands, text):
+    """E_2 totals of a pipeline run as given and with a free circle added."""
+    return tuple(cli.run(strands, text, aux_unknot=aux)["e2"]["total"] for aux in (False, True))
+
+
 def test_doubling_unknot():
-    res = aux_doubling_check(parse_braid_word("", 2))
-    assert res.passed and (res.base_total, res.doubled_total) == (2, 4)
+    assert doubling(2, "") == (2, 4)
 
 
 def test_doubling_trefoil():
-    res = aux_doubling_check(word("s2 s2 s2"))
-    assert res.passed and (res.base_total, res.doubled_total) == (6, 12)
+    assert doubling(4, "s2 s2 s2") == (6, 12)
 
 
 def test_doubling_random_words():
     rng = random.Random(5)
     for _ in range(5):
         b = BraidWord(4, random_letters(rng, 4, rng.randint(1, 6)))
-        assert aux_doubling_check(b).passed
+        base, doubled = doubling(4, b.as_text())
+        assert doubled == 2 * base

@@ -1,6 +1,7 @@
 """Spectral pages: subspace formula vs Gaussian-cancellation oracle."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ from platcube.specseq import (
     rank_bounds,
     verify_d_squared,
 )
-from platcube.specseq import _general_pages
 from platcube.tangle import BraidWord, parse_braid_word
 from platcube.tqft import assemble_complex
 
 from oracles import (
     cancellation_pages,
     conjugate_dense,
+    dense_kernel,
     dense_matmul,
     dense_rank,
     random_letters,
@@ -354,16 +355,58 @@ def test_conjugated_matches_cancellation():
         assert pages.dims(2) == plain.dims(2)
 
 
-def test_fast_and_general_paths_agree():
-    """On pure-d1 complexes the general pages repeat the (w, q) block ranks."""
+def oracle_cycle_dim(fc, dense, w, r):
+    """z_r^w by the dense oracle: the window's kernel, projected to weight w."""
+    lo, hi = fc.block_range(w)
+    top = fc.low_index(w + r)
+    return dense_rank(dense_kernel(dense[lo:top, lo:top])[:, : hi - lo])
+
+
+def test_cycle_dims_match_window_kernel(monkeypatch):
+    """Every z_r^w, r = 1..spread + 2, against the dense kernel of its window.
+
+    Cube complexes carry q and a pure d_1, so they must take the r <= 2 and
+    pure-d1 shortcuts without eliminating any window.  Their conjugates
+    carry higher maps.  Lifting the weights above a cut by one leaves a
+    q-less complex with a weight gap, where windows end below w + r: with
+    the conjugate's blocks it has higher maps, and with the cube's blocks
+    minus the one across the cut it is pure d_1.
+    """
     rng = random.Random(3)
-    for _ in range(6):
+    seen = Counter()
+
+    def check(kind, fc, dense):
+        z = specseq._cycle_dims(fc)
+        spread = fc.weight_values[-1] - fc.weight_values[0]
+        for w in fc.weight_values:
+            for r in range(1, spread + 3):
+                assert z(w, r) == oracle_cycle_dim(fc, dense, w, r), (kind, w, r)
+        seen[kind, fc.max_shift > 1] += 1
+
+    def no_elimination(m):
+        raise AssertionError("a pure d_1 complex eliminated a window")
+
+    done = 0
+    while done < 8:
         fc = random_filtered(rng, max_len=4)
-        if fc.n == 0:
+        if len(fc.weight_values) < 2:
             continue
-        fast = compute_pages(fc).pages
-        general = _general_pages(fc, len(fast))
-        assert [(p.r, p.dims, p.d_ranks) for p in general] == [(p.r, p.dims, p.d_ranks) for p in fast]
+        done += 1
+        dense = fc.differential.to_dense()
+        conj = conjugate_dense(list(fc.weights), dense, rng)
+        cut = rng.choice(fc.weight_values[:-1])
+        lifted = [w + (w > cut) for w in fc.weights]
+        lo, hi = fc.block_range(cut)
+        split = dense.copy()
+        split[hi:, lo:hi] = 0  # drop the (1, cut) block, so d∘d stays zero
+        with monkeypatch.context() as m:
+            m.setattr(specseq, "kernel_basis", no_elimination)
+            check("cube", fc, dense)
+            check("gap", fc_from_dense(lifted, split), split)
+        check("conjugated", fc_from_dense(fc.weights, conj), conj)
+        check("gap", fc_from_dense(lifted, conj), conj)
+    assert {kind for kind, higher in seen if higher} == {"conjugated", "gap"}
+    assert {kind for kind, higher in seen if not higher} >= {"cube", "gap"}
 
 
 # -- toy complexes with genuine higher differentials ------------------
@@ -432,7 +475,7 @@ def test_page_ranks_are_checked(monkeypatch):
     """A d_r rank outside [0, min(dim E_r^w, dim E_r^{w+r})] is an internal error."""
     fc = FilteredComplex((0, 1, 1, 2), {(2, 0): F2Matrix.from_dense([[1]])})
     # cycle dimensions that grow with the window would give d_1 a negative rank
-    monkeypatch.setattr(specseq, "_cycle_dim", lambda fc, d, w, top: top)
+    monkeypatch.setattr(specseq, "_cycle_dims", lambda fc: lambda w, r: fc.low_index(w + r))
     with pytest.raises(AssertionError, match="d_1 at weight 0 has rank -2"):
         compute_pages(fc)
 

@@ -360,3 +360,20 @@ def test_block_size_guard():
         tqft._check_block_bytes(cube_of(" ".join(["s2"] * 12), 4))
     with pytest.raises(ValueError, match="needs 1024 MiB"):
         assemble_complex(cube_of("s1", 32))
+
+
+def test_column_maps_are_sized(monkeypatch):
+    """A single-weight cube has no block to size, so its column maps are sized instead."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy allocated an array")
+
+    tqft._check_block_bytes(cube_of("", 40))  # 2^20 generators, 8 MiB: admitted
+    for name in ("arange", "cumsum", "repeat", "unique", "zeros"):
+        monkeypatch.setattr(np, name, refuse)
+    # 2^32 generators, where the first n-long array alone needs 32 GiB
+    with pytest.raises(ValueError, match="column maps of 4294967296 generators need 32768 MiB, over the limit"):
+        assemble_complex(cube_of("", 64))
+    # 2^65 generators used to overflow numpy's repeat count
+    with pytest.raises(ValueError, match=f"column maps of {2**65} generators"):
+        assemble_complex(cube_of("", 130))
