@@ -79,7 +79,7 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
         body = line.split("#", 1)[0]
         tokens.extend(body.split())
     n_twists = cc.cube.n
-    size = Counter(cc.weights)
+    size = Counter(cc.filtered.weights)
     coords: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
     pos = 0
 
@@ -236,7 +236,7 @@ def run(
         },
         "vertices": {
             "count": len(cube.vertices),
-            "total_dim": cc.total_dim,
+            "total_dim": cc.filtered.n,
             "circle_counts": {cube.bitstring(v): cube.circle_count(v) for v in sorted(cube.vertices)},
             "weights": {cube.bitstring(v): cube.weight(v) for v in sorted(cube.vertices)},
         },

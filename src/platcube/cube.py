@@ -50,8 +50,8 @@ MAX_TWISTS = 16
 # assemble_complex stores each (1, w) block of the differential densely, one
 # bit per entry.  4-strand s2^11, the largest corpus complex, needs 213 MiB for
 # its largest block, s2^12 1.7 GiB, and one twist on 32 strands 1 GiB: a block
-# above this limit is refused before anything is allocated, and so is an int64
-# array with one entry per generator (and cube axis) above it.
+# above this limit is refused before anything is allocated, and so are the
+# int64 arrays that assembly holds at once, counted per generator and cube axis.
 MAX_BLOCK_BYTES = 512 << 20
 
 

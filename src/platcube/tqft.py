@@ -17,16 +17,24 @@ Generators of the total complex are grouped by vertex, vertices sorted
 by (weight, bitstring-as-integer).  The differential raises weight by
 exactly one and is stored as one block per source weight, gathered
 straight from the sparse columns of the edges, laid out as one column
-map per cube axis.  It preserves Khovanov's q = #1 - #X + weight.
+map D_a per cube axis a.  It preserves Khovanov's q = #1 - #X + weight.
+
+Over GF(2) there are no signs, and D is the sum of the D_a.  So the part
+of D∘D from vertex v to v + e_a + e_b is D_b∘D_a + D_a∘D_b there, the
+commutator of the face (v; a, b), and D_a∘D_a = 0 since no edge sets a
+bit twice: D∘D = 0 says exactly that every face of the cube commutes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
+from . import specseq
 from .cube import MAX_BLOCK_BYTES, ConsistencyError, Merge, ResolutionCube, Split
 from .f2linalg import F2Matrix
 from .specseq import FilteredComplex
@@ -104,48 +112,34 @@ def _edge_columns(space_i: VertexSpace, space_j: VertexSpace, cob: Merge | Split
     return _ColumnMap(space_i.dim, space_j.dim, out_a, out_b, terms)
 
 
-def _compose_columns(first: _ColumnMap, second: _ColumnMap) -> tuple[np.ndarray, np.ndarray]:
-    """COO of second∘first (entries appear with multiplicity; mod 2 later)."""
-    ri_parts, ci_parts = [], []
-    for take_first, mid in ((1, first.out_a), (2, first.out_b)):
-        cols = np.flatnonzero(first.terms >= take_first)
-        for take_second, out in ((1, second.out_a), (2, second.out_b)):
-            live = cols[second.terms[mid[cols]] >= take_second]
-            ri_parts.append(out[mid[live]])
-            ci_parts.append(live)
-    return np.concatenate(ri_parts), np.concatenate(ci_parts)
-
-
 @dataclass(eq=False)
 class ChainComplexF2:
-    """Total cube complex: graded generator list plus the differential.
+    """Total cube complex: the filtered complex and where its generators sit in the cube.
 
-    offsets places each vertex inside its weight block; blocks are keyed
-    (1, source weight) as in ``FilteredComplex.blocks``; q holds each
-    generator's quantum grading, which every block preserves.
+    offsets places each vertex inside its weight block.  filtered holds the
+    generator weights, the blocks keyed (1, source weight) and each
+    generator's quantum grading q, which every block preserves.
     """
 
     cube: ResolutionCube
     offsets: dict[int, int]
     spaces: dict[int, VertexSpace]
-    weights: tuple[int, ...]
-    blocks: dict[tuple[int, int], F2Matrix]
-    q: np.ndarray
-
-    @property
-    def total_dim(self) -> int:
-        return len(self.weights)
+    filtered: FilteredComplex
 
     def to_filtered(self) -> FilteredComplex:
-        return FilteredComplex(self.weights, self.blocks, self.q)
+        return self.filtered
 
 
 def _check_block_bytes(cube: ResolutionCube) -> None:
-    """Refuse a cube whose largest dense (1, w) block or int64 column map exceeds MAX_BLOCK_BYTES.
+    """Refuse a cube whose largest dense (1, w) block, or whose int64 arrays
+    held at once in assembly, exceed MAX_BLOCK_BYTES.
 
-    A column map holds one int64 per generator and cube axis, or per
-    generator on a cube without axes.  Sizes come from the circle counts
-    alone, so nothing is allocated.
+    Assembly holds at most 4 int64 per generator (q and the index arithmetic
+    that makes it, later q and the weights) and 13 per generator and cube
+    axis: three column maps, then for one weight at a time its COO (at most
+    two entries per column and axis, a row and a column index each) and the
+    copies the q test and ``F2Matrix.from_coo`` make of it.  Sizes come from
+    the circle counts alone, so nothing is allocated.
     """
     size = Counter()  # generators per weight
     for v, vertex in cube.vertices.items():
@@ -157,42 +151,18 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
             f"over the limit of {MAX_BLOCK_BYTES >> 20} MiB"
         )
     n = sum(size.values())
-    nbytes = 8 * n * max(cube.n, 1)
+    nbytes = 8 * n * (4 + 13 * cube.n)
     if nbytes > MAX_BLOCK_BYTES:
         raise ValueError(
-            f"the column maps of {n} generators need {nbytes / 2**20:.0f} MiB, "
+            f"the arrays of {n} generators need {nbytes / 2**20:.0f} MiB, "
             f"over the limit of {MAX_BLOCK_BYTES >> 20} MiB"
         )
 
 
-def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainComplexF2:
-    """Glue the edge blocks into one block per source weight.
-
-    The edges along cube axis a form one column map D_a on all generators.
-    With check_faces every square of the cube is verified to commute before
-    the blocks are trusted, as D_b∘D_a = D_a∘D_b per axis pair a < b: faces
-    at different vertices have different source columns.  Every entry must
-    also keep q.  A failure raises ConsistencyError since it can only come
-    from a convention bug, never from input.  A cube whose largest block or
-    column map would exceed ``MAX_BLOCK_BYTES`` is refused with ValueError
-    before any array is allocated.
-    """
-    _check_block_bytes(cube)
-    order = sorted(cube.vertices, key=lambda v: (cube.weight(v), v))
-    spaces = {v: VertexSpace(cube.vertices[v].circles) for v in order}
-    dims = [spaces[v].dim for v in order]
-    starts = np.cumsum([0, *dims[:-1]])
-    start = dict(zip(order, starts.tolist()))  # each vertex's first global generator
-    weights = np.repeat([cube.weight(v) for v in order], dims)
-    values, lows, counts = (a.tolist() for a in np.unique(weights, return_index=True, return_counts=True))
-    low, size = dict(zip(values, lows)), dict(zip(values, counts))
-    offsets = {v: start[v] - low[cube.weight(v)] for v in order}
-    vertex_of, n = np.repeat(order, dims), weights.size
-    # q = c - 2 #X + weight; index bit 1 is X, so a local index's popcount counts the X factors
-    x_count = np.bitwise_count(np.arange(n) - np.repeat(starts, dims)).astype(np.int64)
-    q = np.repeat([len(spaces[v].circles) for v in order], dims) - 2 * x_count + weights
-
-    out_a, out_b, terms = (np.zeros((cube.n, n), dtype=np.int64) for _ in range(3))
+def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, int] | None]:
+    """The (1, w) blocks from one column map D_a per cube axis, which dies on
+    return, and the (source, target) generators of the first entry moving q."""
+    out_a, out_b, terms = (np.zeros((cube.n, q.size), dtype=np.int64) for _ in range(3))
     for i_vertex, j_vertex in cube.edge_pairs():
         cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cube.edges[(i_vertex, j_vertex)])
         a = (i_vertex ^ j_vertex).bit_length() - 1
@@ -200,36 +170,64 @@ def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainCom
         out_a[a, cols] = cmap.out_a + start[j_vertex]
         out_b[a, cols] = cmap.out_b + start[j_vertex]
         terms[a, cols] = cmap.terms
-    axes = [_ColumnMap(n, n, out_a[a], out_b[a], terms[a]) for a in range(cube.n)]
+    blocks, moved = {}, None
+    for w in sorted(size)[:-1]:  # every weight below the top has edges out
+        lo = low[w]
+        cols = slice(lo, lo + size[w])
+        ri, ci = _ColumnMap(size[w], q.size, out_a[:, cols], out_b[:, cols], terms[:, cols]).coo()
+        bad = np.flatnonzero(q[ri] != q[ci + lo])
+        if bad.size and moved is None:
+            e = bad[np.argmin(ci[bad])]
+            moved = (lo + int(ci[e]), int(ri[e]))
+        blocks[(1, w)] = F2Matrix.from_coo(size[w + 1], size[w], ri - low[w + 1], ci)
+    return blocks, moved
+
+
+def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainComplexF2:
+    """Glue the edge blocks into one block per source weight.
+
+    The part of D∘D from v to v + e_a + e_b is the commutator of the face
+    (v; a, b), and D_a∘D_a = 0.  So with check_faces, squaring D once
+    (``specseq.verify_d_squared``, kept on the complex for compute_pages)
+    checks every face.  The face named sits at the vertex v of the lowest
+    failing generator in generator order (weight, then vertex as an
+    integer), on the two axes of v XOR u, where u is the vertex of the
+    lowest generator in that generator's image.  Every entry must also keep
+    q; faces are reported first.  A failure raises ConsistencyError since it
+    can only come from a convention bug, never from input.  A cube whose
+    largest block or arrays would exceed ``MAX_BLOCK_BYTES`` is refused with
+    ValueError before any array is allocated.
+    """
+    _check_block_bytes(cube)
+    order = sorted(cube.vertices, key=lambda v: (cube.weight(v), v))
+    spaces = {v: VertexSpace(cube.vertices[v].circles) for v in order}
+    dims = [spaces[v].dim for v in order]
+    starts = [0, *accumulate(dims)]  # vertex order[k] holds generators [starts[k], starts[k + 1])
+    start = dict(zip(order, starts))
+    n, size, low = starts[-1], Counter(), {}
+    for v in order:
+        size[cube.weight(v)] += spaces[v].dim
+        low.setdefault(cube.weight(v), start[v])
+    offsets = {v: start[v] - low[cube.weight(v)] for v in order}
+    # q = c - 2 #X + weight; index bit 1 is X, so a local index's popcount counts the X factors
+    base = [len(spaces[v].circles) + cube.weight(v) for v in order]
+    q = np.repeat(base, dims) - 2 * np.bitwise_count(np.arange(n) - np.repeat(starts[:-1], dims))
+
+    blocks, moved = _weight_blocks(cube, spaces, start, low, size, q)
+    fc = FilteredComplex(np.repeat([cube.weight(v) for v in order], dims), blocks, q)
+
+    def vertex_at(g: int) -> int:
+        return order[bisect_right(starts, g) - 1]
 
     if check_faces:
-        _check_faces(cube, axes, vertex_of)
-
-    ri, ci = _ColumnMap(n, n, out_a, out_b, terms).coo()  # all axes at once: D is their sum
-    moved = np.flatnonzero(q[ri] != q[ci])
-    if moved.size:
-        e = moved[np.argmin(ci[moved])]
-        i, j = cube.bitstring(int(vertex_of[ci[e]])), cube.bitstring(int(vertex_of[ri[e]]))
-        raise ConsistencyError(f"edge {i}->{j} does not preserve q at generator {ci[e]}")
-    blocks = {}
-    for w in values[:-1]:  # every weight below the top has edges out
-        sel = weights[ci] == w
-        blocks[(1, w)] = F2Matrix.from_coo(size[w + 1], size[w], ri[sel] - low[w + 1], ci[sel] - low[w])
-    return ChainComplexF2(cube, offsets, spaces, tuple(weights.tolist()), blocks, q)
-
-
-def _check_faces(cube: ResolutionCube, axes: list[_ColumnMap], vertex_of: np.ndarray) -> None:
-    n = vertex_of.size
-    failing = []
-    for a in range(cube.n):
-        for b in range(a + 1, cube.n):
-            r1, c1 = _compose_columns(axes[a], axes[b])
-            r2, c2 = _compose_columns(axes[b], axes[a])
-            # the two compositions agree mod 2 iff every entry occurs evenly often
-            keys = np.sort(np.concatenate([r1, r2]) * n + np.concatenate([c1, c2]))
-            if keys.size % 2 or (keys[0::2] != keys[1::2]).any():
-                entries, counts = np.unique(keys, return_counts=True)
-                failing.append((int(vertex_of[entries[counts % 2 == 1] % n].min()), a, b))
-    if failing:
-        v, a, b = min(failing)
-        raise ConsistencyError(f"face at vertex {cube.bitstring(v)} axes {a},{b} does not commute")
+        report = specseq.verify_d_squared(fc)  # through the module, where perfbench/spans.py times it
+        if not report.ok:
+            v = vertex_at(report.witness)
+            u = vertex_at((report.image & -report.image).bit_length() - 1)
+            a, b = (k for k in range(cube.n) if (u ^ v) >> k & 1)
+            raise ConsistencyError(f"face at vertex {cube.bitstring(v)} axes {a},{b} does not commute")
+    if moved is not None:
+        g, t = moved
+        i, j = cube.bitstring(vertex_at(g)), cube.bitstring(vertex_at(t))
+        raise ConsistencyError(f"edge {i}->{j} does not preserve q at generator {g}")
+    return ChainComplexF2(cube, offsets, spaces, fc)

@@ -210,6 +210,22 @@ def naive_face_check(n, edge_blocks):
     return None
 
 
+def naive_failing_faces(n, edge_blocks):
+    """Every non-commuting face of a cube, as (vertex, a, b), in the order
+    naive_face_check visits them."""
+    failing = []
+    for i in range(1 << n):
+        clear = [a for a in range(n) if not i >> a & 1]
+        for ai, a in enumerate(clear):
+            for b in clear[ai + 1 :]:
+                ja, jb, k = i | 1 << a, i | 1 << b, i | 1 << a | 1 << b
+                via_a = dense_matmul(edge_blocks[(ja, k)], edge_blocks[(i, ja)])
+                via_b = dense_matmul(edge_blocks[(jb, k)], edge_blocks[(i, jb)])
+                if not np.array_equal(via_a, via_b):
+                    failing.append((i, a, b))
+    return failing
+
+
 def graded_homology(weights, d):
     """Per-weight kernel-mod-image dims of a shift-one differential."""
     w_arr = np.array(weights)

@@ -222,7 +222,7 @@ def test_absurd_strand_count_fails_fast(monkeypatch, capsys):
     pairs = ",".join(f"{i}-{i + 1}" for i in range(1, 64, 2))
     code, out, err = invoke(["--strands", "64", "--word", "", "--plat", f"{pairs}/{pairs}"], capsys)
     assert code == 1 and out == ""
-    assert err.startswith("error: the column maps of 4294967296 generators need 32768 MiB")
+    assert err.startswith("error: the arrays of 4294967296 generators need 131072 MiB")
 
 
 def test_memory_error_is_an_input_error(monkeypatch, capsys):

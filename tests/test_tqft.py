@@ -1,12 +1,15 @@
 """Frobenius-algebra edge maps and the assembled cube differential."""
 
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import platcube.specseq as specseq
 import platcube.tqft as tqft
 from platcube.cube import ConsistencyError, Merge, Split, braid_to_twists, build_cube
 from platcube.f2linalg import F2Matrix, matmul, rank
@@ -21,6 +24,7 @@ from oracles import (
     dense_rank,
     naive_cube_complex,
     naive_face_check,
+    naive_failing_faces,
     random_letters,
 )
 
@@ -330,15 +334,15 @@ def test_q_block_ranks_match_dense(data):
         blk = fc.blocks.get((1, w))
         assert d_ranks[w] == (dense_rank(blk.to_dense()) if blk is not None else 0)
     with pytest.raises(ValueError, match="q grades"):
-        FilteredComplex(fc.weights, fc.blocks, cc.q[:-1])
+        FilteredComplex(fc.weights, fc.blocks, fc.q[:-1])
 
 
 def test_to_filtered_shape():
     cc = assemble_complex(cube_of("s2 s2 s2", 4))
     fc = cc.to_filtered()
-    assert fc.n == cc.total_dim == 30
+    assert fc.n == 30
     assert {r for r, _ in fc.blocks} == {1}
-    assert fc.weights == cc.weights
+    assert fc is cc.filtered
     # offsets count from the start of each weight block
     cube = cc.cube
     for w in fc.weight_values:
@@ -363,17 +367,103 @@ def test_block_size_guard():
 
 
 def test_column_maps_are_sized(monkeypatch):
-    """A single-weight cube has no block to size, so its column maps are sized instead."""
+    """A single-weight cube has no block to size, so its generator arrays are sized instead."""
 
     def refuse(*args, **kwargs):
         raise AssertionError("numpy allocated an array")
 
-    tqft._check_block_bytes(cube_of("", 40))  # 2^20 generators, 8 MiB: admitted
+    tqft._check_block_bytes(cube_of("", 40))  # 2^20 generators, 32 MiB: admitted
     for name in ("arange", "cumsum", "repeat", "unique", "zeros"):
         monkeypatch.setattr(np, name, refuse)
     # 2^32 generators, where the first n-long array alone needs 32 GiB
-    with pytest.raises(ValueError, match="column maps of 4294967296 generators need 32768 MiB, over the limit"):
+    with pytest.raises(ValueError, match="arrays of 4294967296 generators need 131072 MiB, over the limit"):
         assemble_complex(cube_of("", 64))
     # 2^65 generators used to overflow numpy's repeat count
-    with pytest.raises(ValueError, match=f"column maps of {2**65} generators"):
+    with pytest.raises(ValueError, match=f"arrays of {2**65} generators"):
         assemble_complex(cube_of("", 130))
+
+
+def test_arrays_held_together_are_sized(monkeypatch, capsys):
+    """52 strands and no twist: 2^26 generators, so each int64 array is exactly
+    512 MiB, and assembly holds four of them at once."""
+    from platcube import cli
+
+    tqft._check_block_bytes(cube_of(" ".join(["s2"] * 11), 4))  # 177,150 generators on 11 axes: admitted
+    tqft._check_block_bytes(cube_of("", 40))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy allocated an array")
+
+    for name in ("arange", "cumsum", "empty", "repeat", "unique", "zeros"):
+        monkeypatch.setattr(np, name, refuse)
+    started = time.perf_counter()
+    code = cli.main(["--strands", "52", "--word", ""])
+    elapsed = time.perf_counter() - started
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err == "error: the arrays of 67108864 generators need 2048 MiB, over the limit of 512 MiB\n"
+    assert elapsed < 1
+
+
+def test_guard_bounds_measured_peak():
+    """What the guard sizes is at least what assembly holds at its peak,
+    besides the blocks it keeps (traced by tracemalloc, which sees numpy)."""
+    for word, strands in (("", 36), ("s1", 30), ("s1 s3", 24), ("s2 s2 s2 s2 s2 s2", 4)):
+        cube = cube_of(word, strands)
+        n = sum(1 << v.count for v in cube.vertices.values())
+        tracemalloc.start()
+        try:
+            fc = assemble_complex(cube, check_faces=False).to_filtered()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(m.words.nbytes for m in fc.blocks.values())
+        # 64 KiB for the per-vertex dicts and lists
+        assert peak - kept <= 8 * n * (4 + 13 * cube.n) + (64 << 10), (word, strands)
+
+
+def test_cube_is_squared_once(monkeypatch):
+    """Assembly squares D once, and compute_pages reads that square."""
+    calls = []
+    original = specseq.matmul
+    monkeypatch.setattr(specseq, "matmul", lambda a, b: calls.append(1) or original(a, b))
+    cc = assemble_complex(cube_of("s2 s2 s1^-1 s2", 4))
+    fc = cc.to_filtered()
+    assert cc.to_filtered() is fc
+    products = sum((1, w + 1) in fc.blocks for _, w in fc.blocks)  # one per pair of consecutive blocks
+    assert products and len(calls) == products
+    compute_pages(fc)
+    assert len(calls) == products
+
+
+def test_face_named_at_lowest_failing_generator(monkeypatch):
+    """Faces fail at two weights, the lower-weight ones at higher vertex
+    integers: the face named sits at the lowest failing generator in
+    generator order (weight, then vertex), not at the lowest integer."""
+    cube = cube_of("s2 s2 s2 s2", 4)
+    # 12->13 lies on faces at 4 and 8 (weight 1), 7->15 on faces at 3, 5 and 6 (weight 2)
+    targets = [cube.edges[(12, 13)], cube.edges[(7, 15)]]
+    original = tqft._edge_columns
+    maps = {}
+
+    def tampered(space_i, space_j, cob):
+        cm = original(space_i, space_j, cob)
+        if any(cob is t for t in targets):
+            cm = tqft._ColumnMap(cm.dim_in, cm.dim_out, (cm.out_a + 1) % cm.dim_out, cm.out_b, cm.terms)
+        maps[id(cob)] = cm
+        return cm
+
+    monkeypatch.setattr(tqft, "_edge_columns", tampered)
+    with pytest.raises(ConsistencyError) as err:
+        assemble_complex(cube)
+    blocks = {}
+    for edge, cob in cube.edges.items():
+        cm = maps[id(cob)]
+        blocks[edge] = F2Matrix.from_coo(cm.dim_out, cm.dim_in, *cm.coo()).to_dense()
+    failing = naive_failing_faces(cube.n, blocks)
+    assert naive_face_check(cube.n, blocks) == failing[0]
+    lowest = min(v for v, _, _ in failing)
+    first = min((cube.weight(v), v) for v, _, _ in failing)[1]
+    assert cube.weight(first) < cube.weight(lowest)
+    named = {f"face at vertex {cube.bitstring(v)} axes {a},{b} does not commute" for v, a, b in failing if v == first}
+    assert str(err.value) in named
