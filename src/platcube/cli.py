@@ -7,8 +7,9 @@ report_schema.json at the repository root.
 
 Exit codes: 0 success, 1 input error (an input too large to hold in
 memory included), 2 internal consistency failure (a differential that
-fails to square to zero, or a non-commuting cube face), the latter with
-a witness dump on stderr.
+fails to square to zero, a non-commuting cube face, or d_1 ranks read
+off the reduced subcomplex that cannot be right), the latter with a
+witness dump on stderr.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from collections import Counter
 
 from .cube import MAX_BLOCK_BYTES, ConsistencyError, add_aux_unknot, braid_to_twists, build_cube
-from .f2linalg import F2Matrix
+from .f2linalg import F2Matrix, rank
 from .invariants import goeritz_data
 from .specseq import HigherMapError, compute_pages, load_higher_maps, rank_bounds
 from .tangle import BraidWord, PlatClosure, mirror, parse_braid_word, parse_plat
@@ -264,7 +265,8 @@ def run(
 
 
 def selftest(seed: int | None) -> bool:
-    """Random structural checks: faces, d^2, mirror symmetry of E_2."""
+    """Random structural checks: faces, d^2, the d_1 ranks read off the
+    reduced half against the ranks of the whole blocks, mirror symmetry of E_2."""
     rng = random.Random(0 if seed is None else seed)
     checked = 0
     for _ in range(12):
@@ -274,12 +276,21 @@ def selftest(seed: int | None) -> bool:
             (rng.randint(1, strands - 1), rng.choice([-1, 1])) for _ in range(length)
         )
         b = BraidWord(strands, letters)
-        e2, e2_mirror = (
-            compute_pages(assemble_complex(build_cube(braid_to_twists(x), strands)).to_filtered(), r_max=2).total(2)
-            for x in (b, mirror(b))
-        )
-        if e2 != e2_mirror:
-            print(f"selftest FAILED: word {b.as_text()!r} has E_2 {e2} but mirror has {e2_mirror}", file=sys.stderr)
+        e2 = []
+        for x in (b, mirror(b)):
+            fc = assemble_complex(build_cube(braid_to_twists(x), strands)).to_filtered()
+            pages = compute_pages(fc, r_max=2)
+            full = {w: rank(fc.blocks[(1, w)]) if (1, w) in fc.blocks else 0 for w in fc.weight_values}
+            if pages.page(1).d_ranks != full:
+                print(
+                    f"selftest FAILED: word {x.as_text()!r} has d_1 ranks {pages.page(1).d_ranks} "
+                    f"but its blocks have ranks {full}",
+                    file=sys.stderr,
+                )
+                return False
+            e2.append(pages.total(2))
+        if e2[0] != e2[1]:
+            print(f"selftest FAILED: word {b.as_text()!r} has E_2 {e2[0]} but mirror has {e2[1]}", file=sys.stderr)
             return False
         checked += 1
     print(f"selftest: {checked} random words checked, all invariants hold")
@@ -297,7 +308,7 @@ def _emit_text(report: dict) -> None:
         pw = ", ".join(f"{w}:{d}" for w, d in page["per_weight"].items())
         print(f"E_{page['r']}: total {page['total']}  [{pw}]")
     print(f"stabilization: E_{report['stabilization']}" if report["stabilization"] else "stabilization: undetermined")
-    chain = " <= ".join(f"{name}:{total}" for name, total in reversed(report["bounds"]["chain"]))
+    chain = " <= ".join(f"{name}:{total}" for name, total in report["bounds"]["chain"])
     print(f"bound chain: {chain}")
     if det["split"]:
         print("determinant: 0 (split diagram)")

@@ -18,11 +18,22 @@ of weights [w, w + r); rank d_r^w = z_r^w - z_{r+1}^w, and
 b_r^w is the sum of the ranks of the d_s (s < r) that land at w.
 
 D is stored as one block per shift r >= 1 and source weight w.  z_1^w is
-the number m_w of weight-w generators, and z_2^w = m_w - rank of the (1, w)
-block, a sum of (w, q) sub-block ranks when the complex carries q.  A pure
-weight-1 differential, such as the cube's, has z_r^w = z_2^w for r >= 2.
-Only wider windows of a complex with higher maps are built, from the
-blocks, and eliminated.
+the number m_w of weight-w generators, and z_2^w = m_w - rk_w, where rk_w
+is the rank of the (1, w) block.  A pure weight-1 differential, such as
+the cube's, has z_r^w = z_2^w for r >= 2.  Only wider windows of a complex
+with higher maps are built, from the blocks, and eliminated.
+
+A cube complex also marks the generators whose circle 0 carries X.  They
+span a subcomplex C~ that keeps q, and over GF(2) Kh = Khr (x) A
+(Shumakovitch, arXiv:math/0405474), so E_2^w = 2 dim H^w(C~).  The rk_w
+are then read off C~ alone, half the generators, one (w, q) sub-block at a
+time: with m~_w marked generators and rk~_w the rank of C~'s (1, w) block,
+from the lowest weight up,
+
+    E_2^w = 2 (m~_w - rk~_w - rk~_{w-1}),    rk_w = m_w - E_2^w - rk_{w-1}.
+
+An entry leaving C~, or a derived rank outside its bounds, raises
+ConsistencyError.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .cube import ConsistencyError
 from .f2linalg import F2Matrix, _set_bits, kernel_basis, matmul, rank
 
 __all__ = [
@@ -58,13 +70,15 @@ class FilteredComplex:
     block of D from the weight-w generators to the weight-(w + r) ones.
     Rows index targets, columns sources, each in generator order.
     q, when given, is a second grading of the generators that every
-    (1, w) block preserves (the cube's quantum grading), so those blocks
-    split into (w, q) sub-blocks whose ranks add up.
+    (1, w) block preserves (the cube's quantum grading).  mark, when
+    given with q, flags the generators of the cube's reduced subcomplex
+    C~, whose (w, q) sub-blocks give every rank of the (1, w) blocks.
     """
 
     weights: tuple[int, ...]
     blocks: dict[tuple[int, int], F2Matrix]
     q: np.ndarray | None = None
+    mark: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
@@ -78,6 +92,8 @@ class FilteredComplex:
                 raise ValueError(f"block {(r, w)} has shape {mat.shape}, expected {(t_hi - t_lo, hi - lo)}")
         if self.q is not None and len(self.q) != self.n:
             raise ValueError(f"q grades {len(self.q)} generators, not {self.n}")
+        if self.mark is not None and (self.q is None or len(self.mark) != self.n):
+            raise ValueError(f"a mark needs q and one flag per generator, not {len(self.mark)}")
 
     @property
     def n(self) -> int:
@@ -173,7 +189,8 @@ def load_higher_maps(fc: FilteredComplex, table: dict[tuple[int, int], F2Matrix]
     table is keyed like ``FilteredComplex.blocks``.  Shifts must be >= 2
     and the augmented differential must still square to zero; violations
     raise (HigherMapError when a D^2 witness exists).  An empty table
-    returns the complex unchanged.
+    returns the complex unchanged.  The (1, w) blocks stay as they are, so
+    q and the mark stay valid.
     """
     if not table:
         return fc
@@ -183,7 +200,7 @@ def load_higher_maps(fc: FilteredComplex, table: dict[tuple[int, int], F2Matrix]
     merged = dict(fc.blocks)
     for key, mat in table.items():
         merged[key] = merged[key] + mat if key in merged else mat
-    augmented = FilteredComplex(fc.weights, merged, fc.q)
+    augmented = FilteredComplex(fc.weights, merged, fc.q, fc.mark)
     report = verify_d_squared(augmented)
     if not report.ok:
         raise HigherMapError(
@@ -248,21 +265,47 @@ class SpectralPages:
         return sum(self.e_infinity.values())
 
 
-def _d1_rank(fc: FilteredComplex, w: int) -> int:
-    """Rank of the (1, w) block: the sum over its q sub-blocks when q is known."""
-    mat = fc.blocks.get((1, w))
-    if mat is None or fc.q is None:
-        return 0 if mat is None else rank(mat)
-    q_src, q_tgt = fc.q[slice(*fc.block_range(w))], fc.q[slice(*fc.block_range(w + 1))]
-    words = mat.words.reshape(-1)
-    rows, cols = _set_bits(words, mat.words.shape[1], np.flatnonzero(words))
-    total = 0
-    for qv in np.unique(q_src[cols]):
-        src, tgt, sel = q_src == qv, q_tgt == qv, q_src[cols] == qv
-        # each generator's position among those of its q, in generator order
-        ri, ci = (np.cumsum(tgt) - 1)[rows[sel]], (np.cumsum(src) - 1)[cols[sel]]
-        total += rank(F2Matrix.from_coo(int(tgt.sum()), int(src.sum()), ri, ci))
-    return total
+def _d1_ranks(fc: FilteredComplex) -> dict[int, int]:
+    """rk_w, the rank of the (1, w) block, for every weight w.
+
+    Unmarked, each block is ranked.  Marked, only C~'s (w, q) sub-blocks are
+    ranked, and rk_w is derived from the lowest weight up (module
+    docstring).  Each derived rk_w must lie in [0, min(m_w - rk_{w-1},
+    m_{w+1})], since D∘D = 0 puts the image of the (1, w - 1) block in the
+    kernel of the (1, w) one: at the top weight it must vanish.
+    """
+    if fc.mark is None:
+        return {w: rank(fc.blocks[(1, w)]) if (1, w) in fc.blocks else 0 for w in fc.weight_values}
+    ranks, reduced = {}, {}
+    for w in fc.weight_values:
+        (lo, hi), (t_lo, t_hi) = fc.block_range(w), fc.block_range(w + 1)
+        src, tgt = fc.mark[lo:hi], fc.mark[t_lo:t_hi]
+        reduced[w] = 0
+        if (1, w) in fc.blocks:
+            words = fc.blocks[(1, w)].words
+            rows, cols = _set_bits(words.reshape(-1), words.shape[1], np.flatnonzero(words))
+            inside = src[cols]
+            leaving = np.flatnonzero(inside & ~tgt[rows])
+            if leaving.size:
+                e = leaving[np.argmin(cols[leaving])]
+                raise ConsistencyError(
+                    f"the differential takes marked generator {lo + cols[e]} out of the "
+                    f"marked subcomplex, to generator {t_lo + rows[e]}"
+                )
+            rows, cols = rows[inside], cols[inside]
+            q_src, q_tgt = fc.q[lo:hi], fc.q[t_lo:t_hi]
+            for qv in np.unique(q_src[cols]):
+                src_q, tgt_q, sel = src & (q_src == qv), tgt & (q_tgt == qv), q_src[cols] == qv
+                # each marked generator's position among those of its q, in generator order
+                ri, ci = (np.cumsum(tgt_q) - 1)[rows[sel]], (np.cumsum(src_q) - 1)[cols[sel]]
+                reduced[w] += rank(F2Matrix.from_coo(int(tgt_q.sum()), int(src_q.sum()), ri, ci))
+        below = ranks.get(w - 1, 0)
+        e2 = 2 * (int(np.count_nonzero(src)) - reduced[w] - reduced.get(w - 1, 0))
+        rk = ranks[w] = hi - lo - e2 - below
+        bound = min(hi - lo - below, t_hi - t_lo)
+        if not 0 <= rk <= bound:
+            raise ConsistencyError(f"derived d_1 rank {rk} at weight {w} is outside [0, {bound}]")
+    return ranks
 
 
 def _cycle_dims(fc: FilteredComplex) -> Callable[[int, int], int]:
@@ -270,11 +313,14 @@ def _cycle_dims(fc: FilteredComplex) -> Callable[[int, int], int]:
 
     x in F_w lies in Z_r^w iff D kills its part in the window of weights
     [w, w + r) there, so the weight-w part of Z_r^w is that of the kernel of
-    the window's diagonal block.  A window is keyed by its last weight that
-    has generators, so each one is computed once: a window that already
-    reaches past the top weight repeats the last.
+    the window's diagonal block.  The window [w, w + 2) has z_2^w = m_w - rk_w,
+    with every rk_w from ``_d1_ranks``: read off C~ when the complex is
+    marked.  A window is keyed by its last weight that has generators, so
+    each one is computed once: a window that already reaches past the top
+    weight repeats the last.
     """
     higher = fc.max_shift > 1
+    d1 = _d1_ranks(fc)
 
     @cache
     def window_dim(w: int, end: int) -> int:
@@ -282,7 +328,7 @@ def _cycle_dims(fc: FilteredComplex) -> Callable[[int, int], int]:
         if end == w + 1:  # weight w alone, where D has no block
             return hi - lo
         if end == w + 2:  # only the (1, w) block acts
-            return hi - lo - _d1_rank(fc, w)
+            return hi - lo - d1[w]
         ker = kernel_basis(fc.window(w, end)).basis
         return rank(ker.submatrix(0, ker.rows, 0, hi - lo))
 

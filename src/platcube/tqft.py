@@ -19,6 +19,12 @@ exactly one and is stored as one block per source weight, gathered
 straight from the sparse columns of the edges, laid out as one column
 map D_a per cube axis a.  It preserves Khovanov's q = #1 - #X + weight.
 
+Circle 0 holds segment 0, so every vertex has it, as its first circle:
+it is the top bit of every local index.  The generators whose circle 0
+carries X, the upper half of each vertex, span the reduced subcomplex C~
+(a merge keeps X on the merged circle, a split sends X to X(x)X), and
+assembly marks them for ``specseq``, which ranks d_1 on C~ alone.
+
 Over GF(2) there are no signs, and D is the sum of the D_a.  So the part
 of D∘D from vertex v to v + e_a + e_b is D_b∘D_a + D_a∘D_b there, the
 commutator of the face (v; a, b), and D_a∘D_a = 0 since no edge sets a
@@ -30,7 +36,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 
@@ -117,8 +123,9 @@ class ChainComplexF2:
     """Total cube complex: the filtered complex and where its generators sit in the cube.
 
     offsets places each vertex inside its weight block.  filtered holds the
-    generator weights, the blocks keyed (1, source weight) and each
-    generator's quantum grading q, which every block preserves.
+    generator weights, the blocks keyed (1, source weight), each
+    generator's quantum grading q, which every block preserves, and the
+    mark of the generators whose circle 0 carries X.
     """
 
     cube: ResolutionCube
@@ -134,12 +141,12 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
     """Refuse a cube whose largest dense (1, w) block, or whose int64 arrays
     held at once in assembly, exceed MAX_BLOCK_BYTES.
 
-    Assembly holds at most 4 int64 per generator (q and the index arithmetic
-    that makes it, later q and the weights) and 13 per generator and cube
-    axis: three column maps, then for one weight at a time its COO (at most
-    two entries per column and axis, a row and a column index each) and the
-    copies the q test and ``F2Matrix.from_coo`` make of it.  Sizes come from
-    the circle counts alone, so nothing is allocated.
+    Assembly holds at most 4 int64 per generator (q, the mark and the index
+    arithmetic that makes them, later q, the mark and the weights) and 13 per
+    generator and cube axis: three column maps, then for one weight at a time
+    its COO (at most two entries per column and axis, a row and a column
+    index each) and the copies the q test and ``F2Matrix.from_coo`` make of
+    it.  Sizes come from the circle counts alone, so nothing is allocated.
     """
     size = Counter()  # generators per weight
     for v, vertex in cube.vertices.items():
@@ -209,12 +216,19 @@ def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainCom
         size[cube.weight(v)] += spaces[v].dim
         low.setdefault(cube.weight(v), start[v])
     offsets = {v: start[v] - low[cube.weight(v)] for v in order}
+    local = np.arange(n)
+    local -= np.repeat(starts[:-1], dims)
+    # circle 0 is the top bit of a local index: X there in the upper half of each vertex
+    mark = local >= np.repeat([d // 2 for d in dims], dims)
     # q = c - 2 #X + weight; index bit 1 is X, so a local index's popcount counts the X factors
     base = [len(spaces[v].circles) + cube.weight(v) for v in order]
-    q = np.repeat(base, dims) - 2 * np.bitwise_count(np.arange(n) - np.repeat(starts[:-1], dims))
+    q = np.repeat(base, dims) - 2 * np.bitwise_count(local)
+    del local  # before the column maps are allocated
 
     blocks, moved = _weight_blocks(cube, spaces, start, low, size, q)
-    fc = FilteredComplex(np.repeat([cube.weight(v) for v in order], dims), blocks, q)
+    # the weights go in as an iterator, so only the complex's own tuple holds them
+    weights = chain.from_iterable(repeat(cube.weight(v), d) for v, d in zip(order, dims))
+    fc = FilteredComplex(weights, blocks, q, mark)
 
     def vertex_at(g: int) -> int:
         return order[bisect_right(starts, g) - 1]

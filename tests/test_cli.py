@@ -141,10 +141,47 @@ def test_text_output(capsys):
     assert "stabilization: E_2" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--strands", "4", "--word", "s2"],
+        TREFOIL,
+        TREFOIL + ["--pages"],
+        TREFOIL + ["--max-page", "1"],
+        ["--strands", "6", "--word", "s1 s3 s2^-1 s4", "--pages"],
+        ["--strands", "4", "--word", ""],
+    ],
+)
+def test_text_bound_chain_reads_upward(argv, capsys):
+    """The printed chain is a true chain of inequalities: from E_inf out to E_1."""
+    code, out, _ = invoke(argv, capsys)
+    assert code == 0
+    (line,) = [ln for ln in out.splitlines() if ln.startswith("bound chain: ")]
+    links = line.removeprefix("bound chain: ").split(" <= ")
+    totals = [int(link.split(":")[1]) for link in links]
+    assert links[-1].startswith("E_1:")
+    assert all(a <= b for a, b in zip(totals, totals[1:])), line
+    if argv[3] == "s2":
+        assert line == "bound chain: E_inf:2 <= E_2:2 <= E_1:6"
+
+
 def test_selftest(capsys):
     code, out, err = invoke(["--selftest", "--seed", "1"], capsys)
     assert code == 0
     assert "selftest" in out
+
+
+def test_selftest_compares_derived_ranks(monkeypatch, capsys):
+    """--selftest ranks the whole stored (1, w) blocks and fails when the
+    d_1 ranks read off the reduced half disagree with them."""
+    import platcube.cli as cli
+    from platcube.f2linalg import rank
+
+    monkeypatch.setattr(cli, "rank", lambda m: rank(m) + 1)
+    code, out, err = invoke(["--selftest", "--seed", "1"], capsys)
+    assert code == 2
+    assert err.startswith("selftest FAILED: word ") and "d_1 ranks" in err
+    assert "random words checked" not in out
 
 
 # -- exit code 1: input errors ----------------------------------------

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import platcube.specseq as specseq
 import platcube.tqft as tqft
-from platcube.cube import ConsistencyError, Merge, Split, braid_to_twists, build_cube
+from platcube.cube import ConsistencyError, Merge, Split, add_aux_unknot, braid_to_twists, build_cube
 from platcube.f2linalg import F2Matrix, matmul, rank
 from platcube.specseq import FilteredComplex, compute_pages
-from platcube.tangle import BraidWord, parse_braid_word
+from platcube.tangle import BraidWord, PlatClosure, parse_braid_word
 from platcube.tqft import VertexSpace, assemble_complex
 
 from oracles import (
@@ -22,6 +22,7 @@ from oracles import (
     MUL,
     dense_matmul,
     dense_rank,
+    graded_homology,
     naive_cube_complex,
     naive_face_check,
     naive_failing_faces,
@@ -245,7 +246,7 @@ def test_face_check_catches_corruption(monkeypatch):
 
 
 def test_face_check_matches_naive_oracle(monkeypatch):
-    """One tampered column of one random edge: the axis-pair check fails
+    """One tampered column of one random edge: the single D∘D square fails
     exactly when the per-face oracle does, and names the same face."""
     rng = random.Random(9)
     original = tqft._edge_columns
@@ -319,22 +320,97 @@ def test_q_check_catches_shifted_entry(monkeypatch):
         assert state["hit"]
 
 
-@settings(deadline=None, max_examples=60)
+# every planar pairing of 4 and 6 strands, 0-based
+PLANAR = {
+    4: [((0, 1), (2, 3)), ((0, 3), (1, 2))],
+    6: [((0, 1), (2, 3), (4, 5)), ((0, 1), (2, 5), (3, 4)), ((0, 3), (1, 2), (4, 5)),
+        ((0, 5), (1, 2), (3, 4)), ((0, 5), (1, 4), (2, 3))],
+}
+
+
+@settings(deadline=None, max_examples=80)
 @given(st.data())
 def test_q_block_ranks_match_dense(data):
-    """Summed (w, q) sub-block ranks equal the dense rank of each weight block."""
-    strands = data.draw(st.sampled_from([2, 4, 6, 8]))
-    letters = data.draw(st.lists(
-        st.tuples(st.integers(1, strands - 1), st.sampled_from([-1, 1])), max_size=5
+    """The E_1 ranks derived from the marked half, and the per-weight E_2 they
+    give, equal the dense ranks of the whole (1, w) blocks and the dense
+    homology of the whole complex.  Inputs: random words, 2-strand words, the
+    empty word, split diagrams (letters at odd positions only, so no twist
+    joins two standard pairs), non-standard plat pairings and aux-unknot cubes.
+    """
+    kind = data.draw(st.sampled_from(["word", "two", "empty", "split", "plat", "aux"]))
+    strands = data.draw(st.sampled_from(
+        {"word": [4, 6, 8], "two": [2], "empty": [2, 4, 6, 8], "split": [4, 6], "plat": [4, 6], "aux": [2, 4]}[kind]
     ))
-    cc = assemble_complex(build_cube(braid_to_twists(BraidWord(strands, tuple(letters))), strands))
-    fc = cc.to_filtered()
-    d_ranks = compute_pages(fc, r_max=1).pages[0].d_ranks
+    positions = range(1, strands, 2) if kind == "split" else range(1, strands)
+    letters = data.draw(st.lists(
+        st.tuples(st.sampled_from(positions), st.sampled_from([-1, 1])),
+        max_size={"empty": 0, "split": 4, "aux": 4}.get(kind, 5),
+    ))
+    if kind == "plat":
+        plat = PlatClosure(data.draw(st.sampled_from(PLANAR[strands])), data.draw(st.sampled_from(PLANAR[strands])))
+    else:
+        plat = PlatClosure.standard(strands)
+    ts = braid_to_twists(BraidWord(strands, tuple(letters)))
+    if kind == "aux":
+        strands, plat = add_aux_unknot(strands, plat)
+    fc = assemble_complex(build_cube(ts, strands, plat, aux_unknot=kind == "aux")).to_filtered()
+    assert fc.mark is not None and 2 * int(fc.mark.sum()) == fc.n
+    pages = compute_pages(fc, r_max=2)
+    dense = fc.differential.to_dense()
     for w in fc.weight_values:
         blk = fc.blocks.get((1, w))
-        assert d_ranks[w] == (dense_rank(blk.to_dense()) if blk is not None else 0)
+        assert pages.page(1).d_ranks[w] == (dense_rank(blk.to_dense()) if blk is not None else 0)
+    assert pages.dims(2) == graded_homology(fc.weights, dense)
     with pytest.raises(ValueError, match="q grades"):
         FilteredComplex(fc.weights, fc.blocks, fc.q[:-1])
+    with pytest.raises(ValueError, match="a mark needs q"):
+        FilteredComplex(fc.weights, fc.blocks, fc.q, fc.mark[:-1])
+
+
+def test_reduced_ranks_are_checked(monkeypatch):
+    """An entry out of the marked half, or a mark that makes a derived d_1
+    rank leave [0, min(m_w - rk_{w-1}, m_{w+1})], is a consistency failure.
+
+    The tampered entry, out of a marked generator, trades X on circle 0 for X
+    on another circle of the same target, so it keeps the weight and q.
+    """
+    original = tqft._edge_columns
+    state = {"hit": False}
+
+    def leaving(space_i, space_j, cob):
+        cm = original(space_i, space_j, cob)
+        top = space_j.dim >> 1  # circle 0's bit in the target
+        low = ~cm.out_a & (cm.out_a + 1)  # the last circle carrying 1
+        cols = np.flatnonzero((cm.terms >= 1) & (np.arange(cm.dim_in) >= space_i.dim >> 1) & (low < top))
+        if not state["hit"] and cols.size:
+            state["hit"] = True
+            out_a = cm.out_a.copy()
+            out_a[cols[0]] ^= top | low[cols[0]]
+            return tqft._ColumnMap(cm.dim_in, cm.dim_out, out_a, cm.out_b, cm.terms)
+        return cm
+
+    monkeypatch.setattr(tqft, "_edge_columns", leaving)
+    for word in ("s2 s2 s2", "s2 s1^-1 s2", "s1 s2 s1"):
+        state["hit"] = False
+        fc = assemble_complex(cube_of(word, 4), check_faces=False).to_filtered()
+        assert state["hit"]
+        # the tamper breaks d∘d too, which compute_pages tests first
+        with pytest.raises(ConsistencyError, match="out of the marked subcomplex"):
+            specseq._d1_ranks(fc)
+    monkeypatch.undo()
+
+    fc = assemble_complex(cube_of("s2 s2 s2", 4)).to_filtered()
+    assert compute_pages(fc).total(2) == 6
+    # a merge sends 1 on circle 0 to X: the half where circle 0 carries 1 is no subcomplex
+    with pytest.raises(ConsistencyError, match="out of the marked subcomplex"):
+        compute_pages(FilteredComplex(fc.weights, fc.blocks, fc.q, ~fc.mark))
+    # subcomplexes, but not the reduced one: E_2 comes out 0, then twice the true E_2
+    for mark, message in (
+        (np.zeros(fc.n, bool), "derived d_1 rank 10 at weight -1 is outside \\[0, 8\\]"),
+        (np.ones(fc.n, bool), "derived d_1 rank 2 at weight 0 is outside \\[0, 0\\]"),
+    ):
+        with pytest.raises(ConsistencyError, match=message):
+            compute_pages(FilteredComplex(fc.weights, fc.blocks, fc.q, mark))
 
 
 def test_to_filtered_shape():
