@@ -7,9 +7,9 @@ report_schema.json at the repository root.
 
 Exit codes: 0 success, 1 input error (an input too large to hold in
 memory included), 2 internal consistency failure (a differential that
-fails to square to zero, a non-commuting cube face, or d_1 ranks read
-off the reduced subcomplex that cannot be right), the latter with a
-witness dump on stderr.
+fails to square to zero, a non-commuting cube face, d_1 ranks read
+off the reduced subcomplex that cannot be right, or page ranks that do
+not fit their pages), the latter with a witness dump on stderr.
 """
 
 from __future__ import annotations

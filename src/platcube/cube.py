@@ -15,14 +15,19 @@ negative twists.
 Circles are canonically labelled by their least segment id, where
 segment (t, p) of strand position p in horizontal slice t has id
 t * strands + p; slices run 0..N from just above the cups to just
-below the caps.  Untouched circles of adjacent vertices carry the same
-segment set, hence literally the same label, which is what lets edge
-descriptors name only the active circles.
+below the caps.  The cups, the caps and the vertical joints beside each
+twist are the same at every vertex, so they are joined once; each vertex
+then joins only its twists, by their two vertical joints (identity) or
+by their cup and cap (cup-cap).  Untouched circles of adjacent vertices
+carry the same segment set, hence literally the same label: an edge is a
+merge or a split when these spectators match and its twist's four port
+segments lie on two circles on one side and on one on the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .tangle import BraidWord, PlatClosure, _UnionFind
 
@@ -42,7 +47,7 @@ __all__ = [
 IDENTITY = "identity"
 CUPCAP = "cupcap"
 
-# build_cube resolves all 2^N vertices in Python: 16 twists take 11 s and 240 MB
+# build_cube resolves all 2^N vertices in Python: 16 twists take 5-9 s and 236 MB
 # on a 2-core box, each twist doubles both, and the complex (>= 2^(N+1) generators)
 # is then far past what the block ranks reduce, so longer words are refused at once.
 MAX_TWISTS = 16
@@ -83,7 +88,7 @@ class TwistSequence:
     def __len__(self) -> int:
         return len(self.twists)
 
-    @property
+    @cached_property
     def n_minus(self) -> int:
         return sum(1 for _, s in self.twists if s == -1)
 
@@ -137,7 +142,7 @@ class ResolutionCube:
         return self.twists.n_minus
 
     def weight(self, vertex: int) -> int:
-        return bin(vertex).count("1") - self.n_minus
+        return vertex.bit_count() - self.n_minus
 
     def circle_count(self, vertex: int) -> int:
         return self.vertices[vertex].count
@@ -146,41 +151,12 @@ class ResolutionCube:
         return "".join("1" if vertex >> i & 1 else "0" for i in range(self.n))
 
     def edge_pairs(self):
-        """All (I, J) with J = I plus one bit, in deterministic order."""
-        for i_vertex in sorted(self.vertices):
-            for axis in range(self.n):
-                if not i_vertex >> axis & 1:
-                    yield i_vertex, i_vertex | (1 << axis)
+        """All (I, J) with J = I plus one bit, by I and then by axis."""
+        return iter(self.edges)
 
 
 class ConsistencyError(RuntimeError):
     """An internal invariant failed; signals a bug, not bad input."""
-
-
-def _trace_vertex(ts: TwistSequence, strands: int, plat: PlatClosure, vertex: int) -> list[int]:
-    """Label every segment with the least segment id of its circle."""
-    n = strands
-    nseg = (len(ts) + 1) * n
-    uf = _UnionFind(nseg)
-    for a, b in plat.cups:
-        uf.union(a, b)
-    top = len(ts) * n
-    for a, b in plat.caps:
-        uf.union(top + a, top + b)
-    for i, (k, s) in enumerate(ts.twists):
-        below = i * n
-        above = below + n
-        kind = resolve_twist(s, vertex >> i & 1)
-        if kind == CUPCAP:
-            uf.union(below + k - 1, below + k)
-            uf.union(above + k - 1, above + k)
-            for p in range(n):
-                if p != k - 1 and p != k:
-                    uf.union(below + p, above + p)
-        else:
-            for p in range(n):
-                uf.union(below + p, above + p)
-    return [uf.find(x) for x in range(nseg)]
 
 
 def build_cube(
@@ -212,53 +188,52 @@ def build_cube(
         if free not in plat.cups or free not in plat.caps:
             raise ValueError("auxiliary strands must be closed into their own circle")
 
-    n_twists = len(ts)
-    n = strands
-    labels_of = {}
-    vertices = {}
+    n_twists, n = len(ts), strands
+    fixed = _UnionFind((n_twists + 1) * n)
+    for (a, b), (c, d) in zip(plat.cups, plat.caps):
+        fixed.union(a, b)
+        fixed.union(n_twists * n + c, n_twists * n + d)
+    ports, joins = [], []  # per twist: its four port segments; its two joins at bit 0 and at bit 1
+    for i, (k, s) in enumerate(ts.twists):
+        below, above = i * n, (i + 1) * n
+        for p in set(range(n)) - {k - 1, k}:
+            fixed.union(below + p, above + p)
+        sw, se, nw, ne = below + k - 1, below + k, above + k - 1, above + k
+        ports += (sw, se, nw, ne)
+        shape = {IDENTITY: ((sw, nw), (se, ne)), CUPCAP: ((sw, se), (nw, ne))}
+        joins.append(tuple(shape[resolve_twist(s, bit)] for bit in (0, 1)))
+    # a circle's label is its root, since union keeps the least id; find also flattens every path
+    roots = [x for x in range(len(fixed.parent)) if fixed.find(x) == x]
+
+    # for memory: the labels are lists, since CPython keeps up to 2,000 freed tuples of each length below
+    # 20, and the circles are tuple() of a list, which left less behind than tuple() of a generator
+    vertices, labels = {}, {}
     for vertex in range(1 << n_twists):
-        seg_label = _trace_vertex(ts, strands, plat, vertex)
-        labels_of[vertex] = seg_label
-        vertices[vertex] = CubeVertex(tuple(sorted(set(seg_label))))
+        uf = fixed.copy()
+        for i, twist in enumerate(joins):
+            for a, b in twist[vertex >> i & 1]:
+                uf.union(a, b)
+        vertices[vertex] = CubeVertex(tuple([r for r in roots if uf.parent[r] == r]))
+        labels[vertex] = list(map(uf.find, ports))
 
     edges: dict[tuple[int, int], Merge | Split] = {}
-    for i_vertex in range(1 << n_twists):
+    for i in range(1 << n_twists):
         for axis in range(n_twists):
-            if i_vertex >> axis & 1:
+            if i >> axis & 1:
                 continue
-            j_vertex = i_vertex | (1 << axis)
-            k = ts.twists[axis][0]
-            touched = (
-                axis * n + k - 1,
-                axis * n + k,
-                (axis + 1) * n + k - 1,
-                (axis + 1) * n + k,
-            )
-            li, lj = labels_of[i_vertex], labels_of[j_vertex]
-            active_i = {li[s] for s in touched}
-            active_j = {lj[s] for s in touched}
-            ci = vertices[i_vertex].count
-            cj = vertices[j_vertex].count
-            if abs(ci - cj) != 1:
+            j = i | 1 << axis
+            active_i, active_j = (set(labels[v][4 * axis : 4 * axis + 4]) for v in (i, j))
+            kept = set(vertices[i].circles) - active_i == set(vertices[j].circles) - active_j
+            # kept spectators and 2 -> 1 or 1 -> 2 active circles: the count changes by one
+            if not kept or {len(active_i), len(active_j)} != {1, 2}:
                 raise ConsistencyError(
-                    f"edge {i_vertex:#x}->{j_vertex:#x}: circle count changed by {cj - ci}"
+                    f"edge {i:#x}->{j:#x}: {len(active_i)} -> {len(active_j)} circles at the twist, "
+                    f"spectators {'kept' if kept else 'changed'}"
                 )
-            spect_i = set(vertices[i_vertex].circles) - active_i
-            spect_j = set(vertices[j_vertex].circles) - active_j
-            if spect_i != spect_j:
-                raise ConsistencyError(
-                    f"edge {i_vertex:#x}->{j_vertex:#x}: spectator circles do not match"
-                )
-            if len(active_i) == 2 and len(active_j) == 1:
-                a, b = sorted(active_i)
-                edges[(i_vertex, j_vertex)] = Merge((a, b), next(iter(active_j)))
-            elif len(active_i) == 1 and len(active_j) == 2:
-                a, b = sorted(active_j)
-                edges[(i_vertex, j_vertex)] = Split(next(iter(active_i)), (a, b))
+            if len(active_i) == 2:
+                edges[(i, j)] = Merge(tuple(sorted(active_i)), *active_j)
             else:
-                raise ConsistencyError(
-                    f"edge {i_vertex:#x}->{j_vertex:#x}: {len(active_i)} -> {len(active_j)} active circles"
-                )
+                edges[(i, j)] = Split(*active_i, tuple(sorted(active_j)))
     return ResolutionCube(strands, ts, plat, vertices, edges)
 
 

@@ -32,8 +32,8 @@ from the lowest weight up,
 
     E_2^w = 2 (m~_w - rk~_w - rk~_{w-1}),    rk_w = m_w - E_2^w - rk_{w-1}.
 
-An entry leaving C~, or a derived rank outside its bounds, raises
-ConsistencyError.
+An entry of C~ that leaves it or moves q, or a derived rank outside its
+bounds, raises ConsistencyError.
 """
 
 from __future__ import annotations
@@ -71,8 +71,9 @@ class FilteredComplex:
     Rows index targets, columns sources, each in generator order.
     q, when given, is a second grading of the generators that every
     (1, w) block preserves (the cube's quantum grading).  mark, when
-    given with q, flags the generators of the cube's reduced subcomplex
-    C~, whose (w, q) sub-blocks give every rank of the (1, w) blocks.
+    given with q, is a bool per generator that flags the cube's reduced
+    subcomplex C~, whose (w, q) sub-blocks give every rank of the (1, w)
+    blocks.
     """
 
     weights: tuple[int, ...]
@@ -94,6 +95,8 @@ class FilteredComplex:
             raise ValueError(f"q grades {len(self.q)} generators, not {self.n}")
         if self.mark is not None and (self.q is None or len(self.mark) != self.n):
             raise ValueError(f"a mark needs q and one flag per generator, not {len(self.mark)}")
+        if self.mark is not None and self.mark.dtype != bool:
+            raise ValueError(f"a mark must be bool, not {self.mark.dtype}")
 
     @property
     def n(self) -> int:
@@ -285,15 +288,15 @@ def _d1_ranks(fc: FilteredComplex) -> dict[int, int]:
             words = fc.blocks[(1, w)].words
             rows, cols = _set_bits(words.reshape(-1), words.shape[1], np.flatnonzero(words))
             inside = src[cols]
-            leaving = np.flatnonzero(inside & ~tgt[rows])
-            if leaving.size:
-                e = leaving[np.argmin(cols[leaving])]
-                raise ConsistencyError(
-                    f"the differential takes marked generator {lo + cols[e]} out of the "
-                    f"marked subcomplex, to generator {t_lo + rows[e]}"
-                )
-            rows, cols = rows[inside], cols[inside]
             q_src, q_tgt = fc.q[lo:hi], fc.q[t_lo:t_hi]
+            # an entry of C~ that leaves it or moves q would be missed by the sub-blocks below
+            stray = np.flatnonzero(inside & ~(tgt[rows] & (q_src[cols] == q_tgt[rows])))
+            if stray.size:
+                e = stray[np.argmin(cols[stray])]
+                g, t = lo + cols[e], t_lo + rows[e]
+                where = f"from q {fc.q[g]} to q {fc.q[t]}" if tgt[rows[e]] else "out of the marked subcomplex"
+                raise ConsistencyError(f"the differential takes marked generator {g} {where}, to generator {t}")
+            rows, cols = rows[inside], cols[inside]
             for qv in np.unique(q_src[cols]):
                 src_q, tgt_q, sel = src & (q_src == qv), tgt & (q_tgt == qv), q_src[cols] == qv
                 # each marked generator's position among those of its q, in generator order
@@ -372,7 +375,7 @@ def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPage
         for w, k in d_ranks.items():
             # no generators at w + r: dims.get gives 0, so d_r^w must vanish
             if not 0 <= k <= min(dims[w], dims.get(w + r, 0)):
-                raise AssertionError(f"d_{r} at weight {w} has rank {k}, beyond the pages it maps between")
+                raise ConsistencyError(f"d_{r} at weight {w} has rank {k}, beyond the pages it maps between")
             if k:
                 b[w + r] += k
         pages.append(PageData(r, dims, d_ranks))
@@ -410,7 +413,7 @@ def rank_bounds(pages: SpectralPages) -> BoundsReport:
     chain = tuple((name, page.total) for name, page in labels)
     totals = [t for _, t in chain]
     if any(a > b for a, b in zip(totals, totals[1:])):
-        raise AssertionError("page totals failed to be nested")
+        raise ConsistencyError("page totals failed to be nested")
     per_weight = {}
     for w in pages.weight_values:
         per_weight[w] = tuple((name, page.dims.get(w, 0)) for name, page in labels)

@@ -170,8 +170,8 @@ def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, 
     """The (1, w) blocks from one column map D_a per cube axis, which dies on
     return, and the (source, target) generators of the first entry moving q."""
     out_a, out_b, terms = (np.zeros((cube.n, q.size), dtype=np.int64) for _ in range(3))
-    for i_vertex, j_vertex in cube.edge_pairs():
-        cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cube.edges[(i_vertex, j_vertex)])
+    for (i_vertex, j_vertex), cob in cube.edges.items():
+        cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cob)
         a = (i_vertex ^ j_vertex).bit_length() - 1
         cols = slice(start[i_vertex], start[i_vertex] + cmap.dim_in)
         out_a[a, cols] = cmap.out_a + start[j_vertex]

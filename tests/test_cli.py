@@ -184,6 +184,17 @@ def test_selftest_compares_derived_ranks(monkeypatch, capsys):
     assert "random words checked" not in out
 
 
+def test_page_invariant_is_a_consistency_failure(monkeypatch, capsys):
+    """A d_r rank beyond its pages exits 2 with a consistency failure line."""
+    from platcube import specseq
+
+    # cycle dimensions that grow with the window would give d_1 a negative rank
+    monkeypatch.setattr(specseq, "_cycle_dims", lambda fc: lambda w, r: fc.low_index(w + r))
+    code, out, err = invoke(["--strands", "4", "--word", "s2 s2"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("consistency failure: d_1 at weight -2 has rank -4")
+
+
 # -- exit code 1: input errors ----------------------------------------
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from platcube import specseq
-from platcube.cube import braid_to_twists, build_cube
+from platcube.cube import ConsistencyError, braid_to_twists, build_cube
 from platcube.f2linalg import F2Matrix, matmul, rank
 from platcube.specseq import (
     FilteredComplex,
@@ -476,7 +476,7 @@ def test_page_ranks_are_checked(monkeypatch):
     fc = FilteredComplex((0, 1, 1, 2), {(2, 0): F2Matrix.from_dense([[1]])})
     # cycle dimensions that grow with the window would give d_1 a negative rank
     monkeypatch.setattr(specseq, "_cycle_dims", lambda fc: lambda w, r: fc.low_index(w + r))
-    with pytest.raises(AssertionError, match="d_1 at weight 0 has rank -2"):
+    with pytest.raises(ConsistencyError, match="d_1 at weight 0 has rank -2"):
         compute_pages(fc)
 
 

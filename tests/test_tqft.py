@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import platcube.specseq as specseq
 import platcube.tqft as tqft
-from platcube.cube import ConsistencyError, Merge, Split, add_aux_unknot, braid_to_twists, build_cube
+from platcube.cube import ConsistencyError, Merge, Split, add_aux_unknot, braid_to_twists, build_cube, resolve_twist
 from platcube.f2linalg import F2Matrix, matmul, rank
 from platcube.specseq import FilteredComplex, compute_pages
 from platcube.tangle import BraidWord, PlatClosure, parse_braid_word
@@ -225,6 +225,22 @@ def test_d_squared_zero():
         assert matmul(d, d).is_zero()
 
 
+def test_edge_check_catches_wrong_shape(monkeypatch):
+    """The first resolution build_cube asks for, twist 0 at bit 0, comes back
+    as the other shape: edge 0 -> 1 then joins two equal resolutions there,
+    neither a merge nor a split."""
+    calls = []
+
+    def flipped(sign, bit):
+        calls.append((sign, bit))
+        return resolve_twist(sign, 1 - bit if len(calls) == 1 else bit)
+
+    monkeypatch.setattr("platcube.cube.resolve_twist", flipped)
+    with pytest.raises(ConsistencyError, match="^edge 0x0->0x1: "):
+        cube_of("s2 s2 s2", 4)
+    assert calls[0] == (-1, 0)
+
+
 def test_face_check_catches_corruption(monkeypatch):
     """A deliberately tampered edge block must fail the face check."""
     original = tqft._edge_columns
@@ -365,11 +381,14 @@ def test_q_block_ranks_match_dense(data):
         FilteredComplex(fc.weights, fc.blocks, fc.q[:-1])
     with pytest.raises(ValueError, match="a mark needs q"):
         FilteredComplex(fc.weights, fc.blocks, fc.q, fc.mark[:-1])
+    with pytest.raises(ValueError, match="a mark must be bool"):
+        FilteredComplex(fc.weights, fc.blocks, fc.q, fc.mark.astype(int))
 
 
 def test_reduced_ranks_are_checked(monkeypatch):
-    """An entry out of the marked half, or a mark that makes a derived d_1
-    rank leave [0, min(m_w - rk_{w-1}, m_{w+1})], is a consistency failure.
+    """An entry out of the marked half, a q that an entry of it moves, or a
+    mark that makes a derived d_1 rank leave [0, min(m_w - rk_{w-1},
+    m_{w+1})], is a consistency failure.
 
     The tampered entry, out of a marked generator, trades X on circle 0 for X
     on another circle of the same target, so it keeps the weight and q.
@@ -404,6 +423,11 @@ def test_reduced_ranks_are_checked(monkeypatch):
     # a merge sends 1 on circle 0 to X: the half where circle 0 carries 1 is no subcomplex
     with pytest.raises(ConsistencyError, match="out of the marked subcomplex"):
         compute_pages(FilteredComplex(fc.weights, fc.blocks, fc.q, ~fc.mark))
+    # a q the blocks do not keep would cut the wrong (w, q) sub-blocks
+    for seed in range(5):
+        q = np.random.default_rng(seed).permutation(fc.q)
+        with pytest.raises(ConsistencyError, match="takes marked generator .* from q"):
+            compute_pages(FilteredComplex(fc.weights, fc.blocks, q, fc.mark))
     # subcomplexes, but not the reduced one: E_2 comes out 0, then twice the true E_2
     for mark, message in (
         (np.zeros(fc.n, bool), "derived d_1 rank 10 at weight -1 is outside \\[0, 8\\]"),
