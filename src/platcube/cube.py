@@ -47,7 +47,7 @@ __all__ = [
 IDENTITY = "identity"
 CUPCAP = "cupcap"
 
-# build_cube resolves all 2^N vertices in Python: 16 twists take 5-9 s and 236 MB
+# build_cube resolves all 2^N vertices in Python: 16 twists take 5-7 s and 209 MB
 # on a 2-core box, each twist doubles both, and the complex (>= 2^(N+1) generators)
 # is then far past what the block ranks reduce, so longer words are refused at once.
 MAX_TWISTS = 16
@@ -98,7 +98,7 @@ def braid_to_twists(b: BraidWord) -> TwistSequence:
     return TwistSequence(tuple((k, -e) for k, e in b.letters))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubeVertex:
     """One resolved diagram: canonically labelled circles."""
 
@@ -109,7 +109,7 @@ class CubeVertex:
         return len(self.circles)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Merge:
     """Two circles fuse into one across the edge."""
 
@@ -117,7 +117,7 @@ class Merge:
     target: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Split:
     """One circle divides into two across the edge."""
 

@@ -7,8 +7,11 @@ is dense.  ``matmul`` visits only the set bits of its left operand and
 costs nnz(a)·⌈b.cols/64⌉ word XORs, so squaring a sparse matrix such as
 a cube differential (at most 2 entries per edge per column) is cheap.
 
-``rref`` is the one elimination loop: ``rank`` reads its rank, and
-``kernel_basis`` is read off its reduced rows by numpy indexing.
+``rank`` counts the owners of ``_echelon``, which reduces every row at
+once, one round per rise of the rows' lowest set bits (the lowest-one
+pivot rule of persistent-homology column reduction).  ``rref`` keeps a
+loop over the columns for ``kernel_basis``, which is read off its
+reduced rows by numpy indexing.
 ``row_int`` turns one row into a Python int, bit j = column j, for
 reporting a witness vector.
 """
@@ -227,9 +230,46 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, int, tuple[int, ...]]:
     return F2Matrix(m.rows, m.cols, w), r, tuple(pivots)
 
 
+def _echelon(m: F2Matrix) -> np.ndarray:
+    """The pivot columns of an echelon basis of m's row space: the distinct
+    lowest set bits, ascending, of the rows that end up owning them.
+
+    Each round reads the lowest set bit of every unsettled row at once.  A
+    row whose lowest bit already has an owner XORs that owner in; among the
+    rows sharing a new lowest bit one becomes its owner and the others XOR it
+    in.  Owners and zero rows settle.  An owner has no bit below its
+    lowest, so the XOR clears a row's lowest bit and sets none below it: a
+    row's lowest bit only rises, and after at most cols rounds every row has
+    settled.  The owners have distinct lowest bits, so they are independent.
+    """
+    owner = np.full(m.cols, -1, dtype=np.int64)  # column -> row of own whose lowest bit it is
+    pick = np.empty(m.cols, dtype=np.int64)
+    live = m.words[m.words.any(axis=1)]  # a copy: fancy indexing
+    own = np.empty((min(m.rows, m.cols), live.shape[1]), dtype=np.uint64)
+    k = 0
+    while live.shape[0]:
+        j = (live != 0).argmax(axis=1)
+        word = live[np.arange(live.shape[0]), j]
+        low = j * _WORD + np.bitwise_count((word & (~word + np.uint64(1))) - np.uint64(1))
+        cand = np.flatnonzero(owner[low] < 0)
+        pick[low[cand]] = cand  # one row per new lowest bit is left written
+        won = cand[pick[low[cand]] == cand]
+        own[k : k + won.size] = live[won]
+        owner[low[won]] = np.arange(k, k + won.size)
+        k += won.size
+        live ^= own[owner[low]]  # an owner clears itself
+        live = live[live.any(axis=1)]
+    return np.flatnonzero(owner >= 0)
+
+
 def rank(m: F2Matrix) -> int:
-    """Rank over GF(2)."""
-    return rref(m)[1]
+    """Rank over GF(2): the number of owners ``_echelon`` settles.
+
+    It runs in rounds, one per rise of the rows' lowest set bits, not one
+    per column: each round reduces every unsettled row at once, and the
+    rounds end because a reduced row's lowest bit only rises.
+    """
+    return _echelon(m).size
 
 
 def kernel_basis(m: F2Matrix) -> "Subspace":

@@ -5,9 +5,10 @@ sends 1 to 1(x)X + X(x)1 and X to X(x)X.  A cube vertex with c circles
 carries the c-fold tensor power: dimension 2^c, basis states indexed by
 assigning 1 or X to each circle.  A merge edge acts by multiplication
 on its two active circles, a split edge by comultiplication, and both
-act as the identity on every spectator circle.  The algebra is not
-tabulated: ``_edge_columns`` writes these rules straight into the
-sparse columns of each edge block.
+act as the identity on every spectator circle.  ``_edge_columns`` writes
+these rules into the sparse columns of each edge block.  Those columns
+depend only on the edge's shape, so they are tabulated once per shape
+and assembly.
 
 Basis order: circles in ascending label order, the first circle most
 significant, and 1 before X in each factor.  So index 0 is all-1s and
@@ -36,6 +37,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate, chain, repeat
 
 import numpy as np
@@ -88,34 +90,47 @@ class _ColumnMap:
 
 
 def _edge_columns(space_i: VertexSpace, space_j: VertexSpace, cob: Merge | Split) -> _ColumnMap:
-    v = np.arange(space_i.dim, dtype=np.int64)
-    active = set(cob.sources) if isinstance(cob, Merge) else {cob.source}
-    base = np.zeros(space_i.dim, dtype=np.int64)
-    for label in space_i.circles:
-        if label in active:
-            continue
-        bit_in = space_i.bit_of(label)
-        bit_out = space_j.bit_of(label)
+    """The sparse columns of one edge block: the read-only table of its shape."""
+    merge = isinstance(cob, Merge)
+    active_in, active_out = (cob.sources, (cob.target,)) if merge else ((cob.source,), cob.targets)
+    bits_in, bits_out = tuple(map(space_i.bit_of, active_in)), tuple(map(space_j.bit_of, active_out))
+    return _shape_columns(merge, len(space_i.circles), bits_in, bits_out)
+
+
+@cache
+def _shape_columns(merge: bool, count: int, bits_in: tuple[int, ...], bits_out: tuple[int, ...]) -> _ColumnMap:
+    """Columns of every edge of one shape: a merge or a split out of count
+    circles, whose active circles sit at bits_in of the source index and at
+    bits_out of the target index.  Circles are in ascending label order, so
+    the spectators keep their relative order and fill the other bits in turn.
+
+    ``_weight_blocks`` clears the cache when it returns, so a table lives for
+    one assembly; its arrays are read-only, since every edge of the shape
+    shares them.
+    """
+    count_out = count - 1 if merge else count + 1
+    v = np.arange(1 << count, dtype=np.int64)
+    base = np.zeros(1 << count, dtype=np.int64)
+    spectators_in = (b for b in range(count) if b not in bits_in)
+    spectators_out = (b for b in range(count_out) if b not in bits_out)
+    for bit_in, bit_out in zip(spectators_in, spectators_out):
         base |= ((v >> bit_in) & 1) << bit_out
 
-    if isinstance(cob, Merge):
-        a, b = cob.sources
-        va = (v >> space_i.bit_of(a)) & 1
-        vb = (v >> space_i.bit_of(b)) & 1
+    if merge:
+        va, vb = ((v >> b) & 1 for b in bits_in)
         product = va | vb  # X absorbs; X.X handled by the kill mask
-        out_a = base | (product << space_j.bit_of(cob.target))
+        out_a = out_b = base | (product << bits_out[0])
         terms = np.where(va & vb, 0, 1).astype(np.int64)
-        return _ColumnMap(space_i.dim, space_j.dim, out_a, out_a.copy(), terms)
-
-    a, b = cob.targets
-    vc = (v >> space_i.bit_of(cob.source)) & 1
-    bit_a = space_j.bit_of(a)
-    bit_b = space_j.bit_of(b)
-    # 1 -> 1(x)X + X(x)1 gives two rows; X -> X(x)X gives one
-    out_a = np.where(vc == 0, base | (1 << bit_b), base | (1 << bit_a) | (1 << bit_b))
-    out_b = np.where(vc == 0, base | (1 << bit_a), out_a)
-    terms = np.where(vc == 0, 2, 1).astype(np.int64)
-    return _ColumnMap(space_i.dim, space_j.dim, out_a, out_b, terms)
+    else:
+        vc = (v >> bits_in[0]) & 1
+        bit_a, bit_b = bits_out
+        # 1 -> 1(x)X + X(x)1 gives two rows; X -> X(x)X gives one
+        out_a = np.where(vc == 0, base | (1 << bit_b), base | (1 << bit_a) | (1 << bit_b))
+        out_b = np.where(vc == 0, base | (1 << bit_a), out_a)
+        terms = np.where(vc == 0, 2, 1).astype(np.int64)
+    for arr in (out_a, out_b, terms):
+        arr.flags.writeable = False
+    return _ColumnMap(1 << count, 1 << count_out, out_a, out_b, terms)
 
 
 @dataclass(eq=False)
@@ -170,13 +185,16 @@ def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, 
     """The (1, w) blocks from one column map D_a per cube axis, which dies on
     return, and the (source, target) generators of the first entry moving q."""
     out_a, out_b, terms = (np.zeros((cube.n, q.size), dtype=np.int64) for _ in range(3))
-    for (i_vertex, j_vertex), cob in cube.edges.items():
-        cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cob)
-        a = (i_vertex ^ j_vertex).bit_length() - 1
-        cols = slice(start[i_vertex], start[i_vertex] + cmap.dim_in)
-        out_a[a, cols] = cmap.out_a + start[j_vertex]
-        out_b[a, cols] = cmap.out_b + start[j_vertex]
-        terms[a, cols] = cmap.terms
+    try:
+        for (i_vertex, j_vertex), cob in cube.edges.items():
+            cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cob)
+            a = (i_vertex ^ j_vertex).bit_length() - 1
+            cols = slice(start[i_vertex], start[i_vertex] + cmap.dim_in)
+            out_a[a, cols] = cmap.out_a + start[j_vertex]
+            out_b[a, cols] = cmap.out_b + start[j_vertex]
+            terms[a, cols] = cmap.terms
+    finally:
+        _shape_columns.cache_clear()
     blocks, moved = {}, None
     for w in sorted(size)[:-1]:  # every weight below the top has edges out
         lo = low[w]

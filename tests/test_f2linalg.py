@@ -63,6 +63,7 @@ def test_coo_parity():
 def test_empty_shapes():
     z = F2Matrix.zeros(0, 5)
     assert rank(z) == 0
+    assert rank(F2Matrix.zeros(7, 0)) == 0
     assert z.transpose().shape == (5, 0)
     assert matmul(z, F2Matrix.zeros(5, 4)).shape == (0, 4)
     assert kernel_basis(z).dim == 5  # nothing constrains the domain
@@ -72,12 +73,30 @@ def test_empty_shapes():
 
 
 def test_rank_matches_dense():
-    rng = random.Random(2)
-    for _ in range(120):
-        rows = rng.randint(0, 40)
-        cols = rng.randint(1, 150)
-        a = rand_dense(rng, rows, cols, rng.choice([0.1, 0.5, 0.9]))
-        assert rank(F2Matrix.from_dense(a)) == dense_rank(a)
+    """Wide, square and tall matrices of 0-300 columns, so rows span several
+    words, from density 0.01 to 0.9; some with duplicated rows, some with
+    groups of rows that share a lowest set bit.  rank leaves its argument as
+    it was."""
+    rng = np.random.default_rng(2)
+    kinds = {"plain": 0, "duplicated": 0, "shared lowest bit": 0}
+    for _ in range(160):
+        rows, cols = (int(x) for x in rng.integers(0, 301, 2))
+        a = (rng.random((rows, cols)) < rng.choice([0.01, 0.05, 0.1, 0.5, 0.9])).astype(np.uint8)
+        kind = rng.choice(list(kinds)) if rows >= 2 and cols else "plain"
+        if kind == "duplicated":
+            a[rng.integers(0, rows, rows // 2)] = a[rng.integers(0, rows, rows // 2)]
+        elif kind == "shared lowest bit":
+            for _ in range(3):
+                group = rng.integers(0, rows, max(2, rows // 4))
+                c = int(rng.integers(0, cols))
+                a[group, :c] = 0
+                a[group, c] = 1
+        kinds[kind] += 1
+        m = F2Matrix.from_dense(a)
+        before = m.words.copy()
+        assert rank(m) == dense_rank(a)
+        assert np.array_equal(m.words, before)
+    assert min(kinds.values()) >= 20, kinds
 
 
 def test_rref_matches_dense():

@@ -171,6 +171,35 @@ def test_edge_columns_are_sparse():
         assert set(col_sums.tolist()) <= {0, 1, 2}
 
 
+def test_shape_tables_built_once(monkeypatch):
+    """An edge's columns depend only on its shape: merge or split, the source
+    circle count, and where the active circles sit among the source's and the
+    target's circles.  Assembly builds each shape's read-only table once, and
+    none outlives it."""
+    cube = cube_of("s2 s2 s2 s2 s2 s2 s2 s2", 4)
+    shapes = set()
+    for (i, j), cob in cube.edges.items():
+        ci, cj = cube.vertices[i].circles, cube.vertices[j].circles
+        active_i, active_j = (cob.sources, (cob.target,)) if isinstance(cob, Merge) else ((cob.source,), cob.targets)
+        shapes.add((type(cob), len(ci), tuple(map(ci.index, active_i)), tuple(map(cj.index, active_j))))
+    original = tqft._edge_columns
+    infos = []
+
+    def spy(space_i, space_j, cob):
+        cm = original(space_i, space_j, cob)
+        assert not any(arr.flags.writeable for arr in (cm.out_a, cm.out_b, cm.terms))
+        infos.append(tqft._shape_columns.cache_info())
+        return cm
+
+    tqft._shape_columns.cache_clear()  # tables other tests built outside an assembly
+    monkeypatch.setattr(tqft, "_edge_columns", spy)
+    assemble_complex(cube)
+    built = infos[-1]
+    assert len(infos) == len(cube.edges) == built.hits + built.misses
+    assert built.misses == built.currsize == len(shapes) < len(cube.edges)
+    assert tqft._shape_columns.cache_info().currsize == 0
+
+
 def test_spectators_tensor_factor():
     """Flipping a spectator circle commutes with every edge map."""
     cube = cube_of("s1 s2^-1 s1", 4)
