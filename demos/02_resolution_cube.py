@@ -21,13 +21,12 @@ print(f"\ntotal state-space dimension: {total}")
 
 # each edge flips one bit and either merges two circles or splits one
 print("\nedges out of 000:")
-for iv, jv in cube.edge_pairs():
+for (iv, jv), cob in cube.edges.items():
     if iv != 0:
         continue
-    cob = cube.edges[(iv, jv)]
     print(f"  000 -> {cube.bitstring(jv)}: {type(cob).__name__} {cob}")
 
 # circle counts always step by exactly 1 across an edge
-for iv, jv in cube.edge_pairs():
+for iv, jv in cube.edges:
     assert abs(cube.circle_count(iv) - cube.circle_count(jv)) == 1
 print("\nevery edge changes the circle count by exactly 1")

@@ -157,6 +157,8 @@ def run(
     """Full pipeline for one word; returns the report dictionary."""
     if strands is None:
         raise ValueError("--strands is required")
+    if max_page is not None and max_page < 1:
+        raise ValueError("--max-page must be at least 1")
     b = parse_braid_word(word, strands)
     if use_mirror:
         b = mirror(b)

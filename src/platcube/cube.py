@@ -16,18 +16,24 @@ Circles are canonically labelled by their least segment id, where
 segment (t, p) of strand position p in horizontal slice t has id
 t * strands + p; slices run 0..N from just above the cups to just
 below the caps.  The cups, the caps and the vertical joints beside each
-twist are the same at every vertex, so they are joined once; each vertex
-then joins only its twists, by their two vertical joints (identity) or
-by their cup and cap (cup-cap).  Untouched circles of adjacent vertices
-carry the same segment set, hence literally the same label: an edge is a
-merge or a split when these spectators match and its twist's four port
-segments lie on two circles on one side and on one on the other.
+twist are the same at every vertex, so they are joined once.  A component
+of that forest that meets no twist port is a closed circle, a spectator at
+every vertex; each other component becomes one node.  The vertices are
+then resolved depth-first over the twists, from the last to the first,
+each twist joining its nodes by its two vertical joints (identity) or by
+its cup and cap (cup-cap): a choice of the higher twists that many
+vertices share is joined once, and the vertices come in ascending order.
+Untouched circles of adjacent vertices carry the same segment set, hence
+literally the same label: an edge is a merge or a split when these
+spectators match and its twist's four port segments lie on two circles on
+one side and on one on the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 
 from .tangle import BraidWord, PlatClosure, _UnionFind
 
@@ -47,7 +53,7 @@ __all__ = [
 IDENTITY = "identity"
 CUPCAP = "cupcap"
 
-# build_cube resolves all 2^N vertices in Python: 16 twists take 5-7 s and 209 MB
+# build_cube resolves all 2^N vertices in Python: 16 twists take 4-5 s and 169 MB
 # on a 2-core box, each twist doubles both, and the complex (>= 2^(N+1) generators)
 # is then far past what the block ranks reduce, so longer words are refused at once.
 MAX_TWISTS = 16
@@ -58,6 +64,12 @@ MAX_TWISTS = 16
 # above this limit is refused before anything is allocated, and so are the
 # int64 arrays that assembly holds at once, counted per generator and cube axis.
 MAX_BLOCK_BYTES = 512 << 20
+
+
+def _assembly_bytes(generators: int, axes: int) -> int:
+    """The int64 arrays assembly holds at once, 4 per generator and 13 per
+    generator and cube axis (counted in ``tqft._check_block_bytes``)."""
+    return 8 * generators * (4 + 13 * axes)
 
 
 def resolve_twist(sign: int, bit: int) -> str:
@@ -150,10 +162,6 @@ class ResolutionCube:
     def bitstring(self, vertex: int) -> str:
         return "".join("1" if vertex >> i & 1 else "0" for i in range(self.n))
 
-    def edge_pairs(self):
-        """All (I, J) with J = I plus one bit, by I and then by axis."""
-        return iter(self.edges)
-
 
 class ConsistencyError(RuntimeError):
     """An internal invariant failed; signals a bug, not bad input."""
@@ -199,33 +207,59 @@ def build_cube(
         for p in set(range(n)) - {k - 1, k}:
             fixed.union(below + p, above + p)
         sw, se, nw, ne = below + k - 1, below + k, above + k - 1, above + k
-        ports += (sw, se, nw, ne)
+        ports.append((sw, se, nw, ne))
         shape = {IDENTITY: ((sw, nw), (se, ne)), CUPCAP: ((sw, se), (nw, ne))}
         joins.append(tuple(shape[resolve_twist(s, bit)] for bit in (0, 1)))
-    # a circle's label is its root, since union keeps the least id; find also flattens every path
-    roots = [x for x in range(len(fixed.parent)) if fixed.find(x) == x]
+    # a component's label is its root, since union keeps the least id; find also flattens every path
+    roots = {x for x in range(len(fixed.parent)) if fixed.find(x) == x}
+    # node k is the component on a twist port labelled touched[k]; the others are the spectators
+    touched = sorted({fixed.parent[p] for twist in ports for p in twist})
+    spectators = sorted(roots.difference(touched))
+    node = {r: k for k, r in enumerate(touched)}
+    ports = [tuple(node[fixed.parent[p]] for p in twist) for twist in ports]
+    joins = [[[(node[fixed.parent[a]], node[fixed.parent[b]]) for a, b in pairs] for pairs in twist] for twist in joins]
+    # each vertex has the spectators and at least one circle on the ports: 2^(N + F + 1) generators or more
+    least = n_twists + len(spectators) + 1
+    if n_twists and _assembly_bytes(1 << least, n_twists) > MAX_BLOCK_BYTES:
+        raise ValueError(
+            f"{strands} strands and {n_twists} twists give at least 2^{least} generators "
+            f"({len(spectators)} circles touch no twist), whose arrays exceed the limit of {MAX_BLOCK_BYTES >> 20} MiB"
+        )
 
-    # for memory: the labels are lists, since CPython keeps up to 2,000 freed tuples of each length below
-    # 20, and the circles are tuple() of a list, which left less behind than tuple() of a generator
-    vertices, labels = {}, {}
-    for vertex in range(1 << n_twists):
-        uf = fixed.copy()
-        for i, twist in enumerate(joins):
-            for a, b in twist[vertex >> i & 1]:
-                uf.union(a, b)
-        vertices[vertex] = CubeVertex(tuple([r for r in roots if uf.parent[r] == r]))
-        labels[vertex] = list(map(uf.find, ports))
+    # Depth-first from the last twist down, so the vertices come in ascending order and each
+    # shared choice of the higher twists is joined once.  A vertex keeps its nodes' labels as a
+    # list, never changed once made: a join that merges nothing hands the same list on.
+    vertices, labels = {}, []
+
+    def resolve(twist: int, label: list[int], vertex: int) -> None:
+        if twist < 0:
+            # for memory: tuple() of a list, which left less behind than tuple() of a generator
+            vertices[vertex] = CubeVertex(tuple(sorted([*spectators, *set(label)])))
+            labels.append(label)
+            return
+        for bit, pairs in enumerate(joins[twist]):
+            joined = label
+            for a, b in pairs:
+                lo, hi = joined[a], joined[b]
+                if lo != hi:
+                    lo, hi = min(lo, hi), max(lo, hi)
+                    joined = [lo if x == hi else x for x in joined]
+            resolve(twist - 1, joined, vertex | bit << twist)
+
+    resolve(n_twists - 1, touched, 0)
 
     edges: dict[tuple[int, int], Merge | Split] = {}
-    for i in range(1 << n_twists):
-        for axis in range(n_twists):
+    ports = [itemgetter(*twist) for twist in ports]
+    for i, label_i in enumerate(labels):
+        circles_i = set(vertices[i].circles)
+        for axis, at_ports in enumerate(ports):
             if i >> axis & 1:
                 continue
             j = i | 1 << axis
-            active_i, active_j = (set(labels[v][4 * axis : 4 * axis + 4]) for v in (i, j))
-            kept = set(vertices[i].circles) - active_i == set(vertices[j].circles) - active_j
-            # kept spectators and 2 -> 1 or 1 -> 2 active circles: the count changes by one
-            if not kept or {len(active_i), len(active_j)} != {1, 2}:
+            active_i, active_j = set(at_ports(label_i)), set(at_ports(labels[j]))
+            kept = circles_i - active_i == set(vertices[j].circles) - active_j
+            # kept spectators and 2 -> 1 or 1 -> 2 active circles (each side has 1 to 4): the count changes by one
+            if not kept or len(active_i) + len(active_j) != 3:
                 raise ConsistencyError(
                     f"edge {i:#x}->{j:#x}: {len(active_i)} -> {len(active_j)} circles at the twist, "
                     f"spectators {'kept' if kept else 'changed'}"
@@ -234,6 +268,7 @@ def build_cube(
                 edges[(i, j)] = Merge(tuple(sorted(active_i)), *active_j)
             else:
                 edges[(i, j)] = Split(*active_i, tuple(sorted(active_j)))
+        labels[i] = None  # no later edge starts or ends here
     return ResolutionCube(strands, ts, plat, vertices, edges)
 
 

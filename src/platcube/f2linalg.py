@@ -6,6 +6,8 @@ arguments are never mutated and results are freshly allocated.  Storage
 is dense.  ``matmul`` visits only the set bits of its left operand and
 costs nnz(a)·⌈b.cols/64⌉ word XORs, so squaring a sparse matrix such as
 a cube differential (at most 2 entries per edge per column) is cheap.
+``_set_bits`` lists set bits for it and for ``specseq`` by unpacking only
+the nonzero bytes of the nonzero words.
 
 ``rank`` counts the owners of ``_echelon``, which reduces every row at
 once, one round per rise of the rows' lowest set bits (the lowest-one
@@ -192,11 +194,16 @@ def matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:
 def _set_bits(words: np.ndarray, row_words: int, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(row, column) of every set bit in the words at the given flat indices
     of a matrix's raveled words; row-major when the indices ascend.
+
+    Only the nonzero bytes of those words are unpacked, 8 bits each, so a
+    sparse word costs a few bytes' bits rather than all 64.
     """
-    packed = words[flat].astype("<u8").view(np.uint8).reshape(-1, 8)
-    t, bit = np.nonzero(np.unpackbits(packed, axis=1, bitorder="little"))
-    rows, w = np.divmod(flat[t], row_words)
-    return rows, w * _WORD + bit
+    packed = words[flat].astype("<u8").view(np.uint8)
+    nonzero = np.flatnonzero(packed)
+    t, bit = np.nonzero(np.unpackbits(packed[nonzero, None], axis=1, bitorder="little"))
+    byte = nonzero[t]
+    rows, w = np.divmod(flat[byte >> 3], row_words)
+    return rows, w * _WORD + (byte & 7) * 8 + bit
 
 
 def _column_bits(words: np.ndarray, col: int) -> np.ndarray:

@@ -94,11 +94,6 @@ class _UnionFind:
     def __init__(self, n: int):
         self.parent = list(range(n))
 
-    def copy(self) -> _UnionFind:
-        clone = _UnionFind(0)
-        clone.parent = self.parent.copy()
-        return clone
-
     def find(self, x: int) -> int:
         p = self.parent
         root = x

@@ -8,7 +8,8 @@ on its two active circles, a split edge by comultiplication, and both
 act as the identity on every spectator circle.  ``_edge_columns`` writes
 these rules into the sparse columns of each edge block.  Those columns
 depend only on the edge's shape, so they are tabulated once per shape
-and assembly.
+and assembly, and the edges that share a table and a cube axis are laid
+out together.
 
 Basis order: circles in ascending label order, the first circle most
 significant, and 1 before X in each factor.  So index 0 is all-1s and
@@ -35,7 +36,7 @@ bit twice: D∘D = 0 says exactly that every face of the cube commutes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, repeat
@@ -43,7 +44,7 @@ from itertools import accumulate, chain, repeat
 import numpy as np
 
 from . import specseq
-from .cube import MAX_BLOCK_BYTES, ConsistencyError, Merge, ResolutionCube, Split
+from .cube import MAX_BLOCK_BYTES, ConsistencyError, Merge, ResolutionCube, Split, _assembly_bytes
 from .f2linalg import F2Matrix
 from .specseq import FilteredComplex
 
@@ -158,10 +159,12 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
 
     Assembly holds at most 4 int64 per generator (q, the mark and the index
     arithmetic that makes them, later q, the mark and the weights) and 13 per
-    generator and cube axis: three column maps, then for one weight at a time
-    its COO (at most two entries per column and axis, a row and a column
-    index each) and the copies the q test and ``F2Matrix.from_coo`` make of
-    it.  Sizes come from the circle counts alone, so nothing is allocated.
+    generator and cube axis: three column maps (while they are written, also
+    the indices and values of one group of edges, on one axis), then for one
+    weight at a time its COO (at most two entries per column and axis, a row
+    and a column index each) and the copies the q test and
+    ``F2Matrix.from_coo`` make of it.  Sizes come from the circle counts
+    alone, so nothing is allocated.
     """
     size = Counter()  # generators per weight
     for v, vertex in cube.vertices.items():
@@ -173,7 +176,7 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
             f"over the limit of {MAX_BLOCK_BYTES >> 20} MiB"
         )
     n = sum(size.values())
-    nbytes = 8 * n * (4 + 13 * cube.n)
+    nbytes = _assembly_bytes(n, cube.n)
     if nbytes > MAX_BLOCK_BYTES:
         raise ValueError(
             f"the arrays of {n} generators need {nbytes / 2**20:.0f} MiB, "
@@ -183,18 +186,27 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
 
 def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, int] | None]:
     """The (1, w) blocks from one column map D_a per cube axis, which dies on
-    return, and the (source, target) generators of the first entry moving q."""
+    return, and the (source, target) generators of the first entry moving q.
+    The edges that share a table and an axis are written with one fancy-index
+    assignment per map."""
     out_a, out_b, terms = (np.zeros((cube.n, q.size), dtype=np.int64) for _ in range(3))
+    tables, groups = {}, defaultdict(list)  # (id of a table, axis) -> source, target start of each edge
     try:
         for (i_vertex, j_vertex), cob in cube.edges.items():
             cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cob)
-            a = (i_vertex ^ j_vertex).bit_length() - 1
-            cols = slice(start[i_vertex], start[i_vertex] + cmap.dim_in)
-            out_a[a, cols] = cmap.out_a + start[j_vertex]
-            out_b[a, cols] = cmap.out_b + start[j_vertex]
+            tables[id(cmap)] = cmap
+            groups[id(cmap), (i_vertex ^ j_vertex).bit_length() - 1] += start[i_vertex], start[j_vertex]
+        for (table, a), ends in groups.items():
+            cmap = tables[table]
+            ends = np.array(ends).reshape(-1, 2)
+            cols = np.add.outer(ends[:, 0], np.arange(cmap.dim_in))
+            out_a[a, cols] = cmap.out_a + ends[:, 1:]
+            out_b[a, cols] = cmap.out_b + ends[:, 1:]
             terms[a, cols] = cmap.terms
+            del ends, cols
     finally:
         _shape_columns.cache_clear()
+    del tables, groups
     blocks, moved = {}, None
     for w in sorted(size)[:-1]:  # every weight below the top has edges out
         lo = low[w]

@@ -129,6 +129,83 @@ def vertex_circles(positions, signs, strands, cups, caps, vertex):
     return walk_circles(strands, kinds, positions, cups, caps)
 
 
+# -- the resolution cube, one vertex at a time ------------------------
+
+
+class UnionFind:
+    """Union keeps the least id, so a root is the least member of its set."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def copy(self):
+        clone = UnionFind(0)
+        clone.parent = self.parent.copy()
+        return clone
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        self.parent[max(ra, rb)] = min(ra, rb)
+
+
+def naive_cube(positions, signs, strands, cups, caps):
+    """(vertices, edges) of the resolution cube, every vertex resolved afresh.
+
+    Segment (t, p) has id t * strands + p.  The cups, the caps and the joints
+    beside each twist are joined once; each vertex copies that forest and
+    joins all of its twists.  A circle's label is its least segment id.
+    vertices lists (vertex, labels) by vertex; edges lists ((i, j), edge) by
+    i and then by axis, an edge being ("merge", (a, b), c) or
+    ("split", a, (b, c)), with the active circles at the twist's ports.
+    """
+    n, n_twists = strands, len(signs)
+    fixed = UnionFind((n_twists + 1) * n)
+    for (a, b), (c, d) in zip(cups, caps):
+        fixed.union(a, b)
+        fixed.union(n_twists * n + c, n_twists * n + d)
+    ports = []
+    for i, k in enumerate(positions):
+        below, above = i * n, (i + 1) * n
+        for p in range(n):
+            if p not in (k - 1, k):
+                fixed.union(below + p, above + p)
+        ports.append((below + k - 1, below + k, above + k - 1, above + k))
+    roots = [x for x in range(len(fixed.parent)) if fixed.find(x) == x]
+
+    vertices, labels = {}, {}
+    for v in range(1 << n_twists):
+        uf = fixed.copy()
+        for i, (sw, se, nw, ne) in enumerate(ports):
+            if KIND_OF_BIT[(signs[i], v >> i & 1)] == "identity":
+                uf.union(sw, nw)
+                uf.union(se, ne)
+            else:
+                uf.union(sw, se)
+                uf.union(nw, ne)
+        vertices[v] = tuple(r for r in roots if uf.find(r) == r)
+        labels[v] = [[uf.find(x) for x in twist] for twist in ports]
+
+    edges = {}
+    for i in range(1 << n_twists):
+        for axis in range(n_twists):
+            if i >> axis & 1:
+                continue
+            j = i | 1 << axis
+            active_i, active_j = set(labels[i][axis]), set(labels[j][axis])
+            assert set(vertices[i]) - active_i == set(vertices[j]) - active_j
+            if (len(active_i), len(active_j)) == (2, 1):
+                edges[(i, j)] = ("merge", tuple(sorted(active_i)), *active_j)
+            else:
+                assert (len(active_i), len(active_j)) == (1, 2)
+                edges[(i, j)] = ("split", *active_i, tuple(sorted(active_j)))
+    return list(vertices.items()), list(edges.items())
+
+
 # -- the cube complex, rebuilt from scratch ---------------------------
 
 MUL = {(0, 0): ((0,),), (0, 1): ((1,),), (1, 0): ((1,),), (1, 1): ()}

@@ -154,7 +154,7 @@ def test_acceptance_5_structural_suite(capsys):
         cube = build_cube(braid_to_twists(b), b.strands)
         if any(
             abs(cube.circle_count(iv) - cube.circle_count(jv)) != 1
-            for iv, jv in cube.edge_pairs()
+            for iv, jv in cube.edges
         ):
             failures.append(f"word {i}: edge changes circle count by != 1")
         cc = assemble_complex(cube, check_faces=True)  # raises if any 2-face disagrees

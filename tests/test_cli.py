@@ -218,6 +218,41 @@ def test_input_errors(argv, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_max_page_is_checked_first(value, monkeypatch, capsys):
+    """The flag is named in the error, and nothing is built before the check."""
+    from platcube import cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the input was parsed")
+
+    monkeypatch.setattr(cli, "parse_braid_word", refuse)
+    code, out, err = invoke(["--strands", "4", "--word", "s2 s2", "--max-page", value], capsys)
+    assert (code, out, err) == (1, "", "error: --max-page must be at least 1\n")
+
+
+def test_many_strand_cube_fails_fast(monkeypatch, capsys):
+    """16 twists on one circle of 40 strands leave 19 circles untouched, and a
+    --plat closure of 400 strands 199: at least 2^(16 + F + 1) generators,
+    refused before any vertex is resolved."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a vertex was resolved")
+
+    monkeypatch.setattr("platcube.cube.CubeVertex", refuse)
+    word = " ".join(["s1"] * 16)
+    pairs = ",".join(f"{i}-{i + 1}" for i in range(1, 400, 2))
+    for argv, least in (
+        (["--strands", "40", "--word", word], 36),
+        (["--strands", "400", "--word", word, "--plat", f"{pairs}/{pairs}"], 216),
+    ):
+        started = time.monotonic()
+        code, out, err = invoke(argv, capsys)
+        assert time.monotonic() - started < 1.0
+        assert code == 1 and out == ""
+        assert err.startswith(f"error: {argv[1]} strands and 16 twists give at least 2^{least} generators")
+
+
 def test_huge_word_fails_fast(capsys):
     """A 40-twist cube would never finish; it is refused before it is built."""
     started = time.monotonic()

@@ -5,6 +5,8 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from platcube.cube import (
     Merge,
@@ -17,7 +19,7 @@ from platcube.cube import (
 )
 from platcube.tangle import BraidWord, PlatClosure, parse_braid_word
 
-from oracles import KIND_OF_BIT, random_letters, vertex_circles
+from oracles import KIND_OF_BIT, naive_cube, random_letters, vertex_circles
 
 
 def cube_of(word, strands, **kw):
@@ -95,7 +97,7 @@ def test_empty_word_cube():
     assert len(cube.vertices) == 1
     assert cube.circle_count(0) == 1
     assert cube.weight(0) == 0
-    assert list(cube.edge_pairs()) == []
+    assert list(cube.edges) == []
 
 
 def test_trefoil_cube():
@@ -201,3 +203,42 @@ def test_aux_unknot_adds_one_circle_everywhere():
     doubled = build_cube(ts, strands, plat, aux_unknot=True)
     for v in base.vertices:
         assert doubled.circle_count(v) == base.circle_count(v) + 1
+
+
+# -- the whole cube against a per-vertex resolver ---------------------
+
+# every planar pairing of 4 and 6 strands, 0-based
+PLANAR = {
+    4: [((0, 1), (2, 3)), ((0, 3), (1, 2))],
+    6: [((0, 1), (2, 3), (4, 5)), ((0, 1), (2, 5), (3, 4)), ((0, 3), (1, 2), (4, 5)),
+        ((0, 5), (1, 2), (3, 4)), ((0, 5), (1, 4), (2, 3))],
+}
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_cube_matches_per_vertex_oracle(data):
+    """build_cube gives the vertices and the edges of the oracle that resolves
+    every vertex afresh: the same values in the same insertion order.  Inputs:
+    random words on 2-8 strands with 0-7 letters (the empty word included),
+    non-standard plat pairings on 4 and 6 strands, and aux-unknot cubes."""
+    kind = data.draw(st.sampled_from(["word", "plat", "aux"]))
+    strands = data.draw(st.sampled_from({"word": [2, 4, 6, 8], "plat": [4, 6], "aux": [2, 4, 6]}[kind]))
+    letters = data.draw(st.lists(
+        st.tuples(st.integers(1, strands - 1), st.sampled_from([-1, 1])), max_size=7,
+    ))
+    if kind == "plat":
+        plat = PlatClosure(data.draw(st.sampled_from(PLANAR[strands])), data.draw(st.sampled_from(PLANAR[strands])))
+    else:
+        plat = PlatClosure.standard(strands)
+    ts = braid_to_twists(BraidWord(strands, tuple(letters)))
+    if kind == "aux":
+        strands, plat = add_aux_unknot(strands, plat)
+    cube = build_cube(ts, strands, plat, aux_unknot=kind == "aux")
+    vertices = [(v, vertex.circles) for v, vertex in cube.vertices.items()]
+    edges = [
+        (edge, ("merge", cob.sources, cob.target) if isinstance(cob, Merge) else ("split", cob.source, cob.targets))
+        for edge, cob in cube.edges.items()
+    ]
+    positions, signs = [k for k, _ in ts.twists], [s for _, s in ts.twists]
+    assert (vertices, edges) == naive_cube(positions, signs, strands, plat.cups, plat.caps)

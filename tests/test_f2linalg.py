@@ -150,6 +150,40 @@ def test_matmul_matches_dense(monkeypatch):
     assert check(d.to_dense(), d.to_dense()).is_zero()
 
 
+def test_set_bits_match_dense():
+    """_set_bits lists the (row, column) of every set bit, row-major, as
+    np.nonzero of the dense matrix does, also when the nonzero words are
+    passed in chunks, as matmul passes them."""
+
+    def check(a, chunk=None):
+        m = F2Matrix.from_dense(a)
+        words = m.words.reshape(-1)
+        flat = np.flatnonzero(words)
+        step = chunk or max(flat.size, 1)
+        parts = [f2linalg._set_bits(words, m.words.shape[1], flat[i : i + step]) for i in range(0, flat.size, step)]
+        rows = np.concatenate([np.zeros(0, dtype=np.int64)] + [r for r, _ in parts])
+        cols = np.concatenate([np.zeros(0, dtype=np.int64)] + [c for _, c in parts])
+        want = np.nonzero(m.to_dense())
+        assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+
+    rng = random.Random(8)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 20), rng.randint(1, 200)
+        a = rand_dense(rng, rows, cols, rng.choice([0.01, 0.1, 0.5, 0.95]))
+        check(a)
+        check(a, chunk=rng.randint(1, 5))
+    # bit 63 of a word, all-ones words and words with one set byte
+    edge = np.zeros((6, 192), dtype=np.uint8)
+    edge[:, 63] = edge[:, 127] = edge[1, :] = 1
+    edge[3, 64:72] = 1
+    check(edge)
+    check(edge, chunk=1)
+    check(np.ones((3, 128), dtype=np.uint8), chunk=2)
+    # empty matrices and a matrix with no set bit
+    for shape in ((0, 0), (0, 70), (5, 0), (4, 130)):
+        check(np.zeros(shape, dtype=np.uint8))
+
+
 def test_kernel_matches_dense():
     def check(a):
         ker = kernel_basis(F2Matrix.from_dense(a))

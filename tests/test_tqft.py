@@ -152,20 +152,20 @@ def test_edge_matrices_match_tables():
     words = ["s2 s2", "s1 s2^-1 s1", "s2 s2 s2", "s3 s1 s2^-1"]
     for word in words:
         cube = cube_of(word, 4)
-        for i, j in cube.edge_pairs():
+        for i, j in cube.edges:
             assert edge_matrix(cube, i, j) == naive_edge_matrix(cube, i, j)
     for _ in range(6):
         strands = rng.choice([4, 6])
         b = BraidWord(strands, random_letters(rng, strands, rng.randint(1, 5)))
         cube = build_cube(braid_to_twists(b), strands)
-        for i, j in cube.edge_pairs():
+        for i, j in cube.edges:
             assert edge_matrix(cube, i, j) == naive_edge_matrix(cube, i, j)
 
 
 def test_edge_columns_are_sparse():
     # merge: one output unless both inputs are X; split: two unless X
     cube = cube_of("s2 s2 s2", 4)
-    for i, j in cube.edge_pairs():
+    for i, j in cube.edges:
         m = edge_matrix(cube, i, j).to_dense()
         col_sums = m.sum(axis=0)
         assert set(col_sums.tolist()) <= {0, 1, 2}
