@@ -217,18 +217,20 @@ def build_cube(
     spectators = sorted(roots.difference(touched))
     node = {r: k for k, r in enumerate(touched)}
     ports = [tuple(node[fixed.parent[p]] for p in twist) for twist in ports]
-    joins = [[[(node[fixed.parent[a]], node[fixed.parent[b]]) for a, b in pairs] for pairs in twist] for twist in joins]
-    # each vertex has the spectators and at least one circle on the ports: 2^(N + F + 1) generators or more
+    joins = [[[(node[fixed.parent[a]], node[fixed.parent[b]]) for a, b in bit] for bit in twist] for twist in joins]
+    # each vertex has the F spectators and a circle on the ports: 2^(N + F + 1) generators or more
     least = n_twists + len(spectators) + 1
     if n_twists and _assembly_bytes(1 << least, n_twists) > MAX_BLOCK_BYTES:
         raise ValueError(
             f"{strands} strands and {n_twists} twists give at least 2^{least} generators "
-            f"({len(spectators)} circles touch no twist), whose arrays exceed the limit of {MAX_BLOCK_BYTES >> 20} MiB"
+            f"({len(spectators)} circles touch no twist), whose arrays exceed the limit of "
+            f"{MAX_BLOCK_BYTES >> 20} MiB"
         )
 
     # Depth-first from the last twist down, so the vertices come in ascending order and each
     # shared choice of the higher twists is joined once.  A vertex keeps its nodes' labels as a
-    # list, never changed once made: a join that merges nothing hands the same list on.
+    # list, never changed once made: a join that merges nothing hands the same list on.  For
+    # memory: lists, since CPython keeps up to 2,000 freed tuples of each length below 20.
     vertices, labels = {}, []
 
     def resolve(twist: int, label: list[int], vertex: int) -> None:
@@ -249,16 +251,16 @@ def build_cube(
     resolve(n_twists - 1, touched, 0)
 
     edges: dict[tuple[int, int], Merge | Split] = {}
-    ports = [itemgetter(*twist) for twist in ports]
+    port_labels = [itemgetter(*twist) for twist in ports]
     for i, label_i in enumerate(labels):
         circles_i = set(vertices[i].circles)
-        for axis, at_ports in enumerate(ports):
+        for axis, at_ports in enumerate(port_labels):
             if i >> axis & 1:
                 continue
             j = i | 1 << axis
             active_i, active_j = set(at_ports(label_i)), set(at_ports(labels[j]))
             kept = circles_i - active_i == set(vertices[j].circles) - active_j
-            # kept spectators and 2 -> 1 or 1 -> 2 active circles (each side has 1 to 4): the count changes by one
+            # kept spectators and 2 -> 1 or 1 -> 2 active circles (1 to 4 a side): the count changes by one
             if not kept or len(active_i) + len(active_j) != 3:
                 raise ConsistencyError(
                     f"edge {i:#x}->{j:#x}: {len(active_i)} -> {len(active_j)} circles at the twist, "

@@ -89,6 +89,16 @@ def test_add_aux_unknot_extends_plat():
     assert (4, 5) in plat.cups and (4, 5) in plat.caps
 
 
+def test_untouched_circles_bound_the_cube():
+    """Each vertex has the F circles no twist touches and at least one more,
+    so 2^(N + F + 1) generators or more.  The cube is refused where
+    assembly's array rule, 8 B * n * (4 + 13 N) <= 512 MiB, refuses that n:
+    for one twist F = 19 passes (272 MiB) and F = 20 does not."""
+    assert len(cube_of("s1", 40).vertices) == 2
+    with pytest.raises(ValueError, match=r"^42 strands and 1 twists give at least 2\^22 generators \(20 circles"):
+        cube_of("s1", 42)
+
+
 # -- golden cubes -----------------------------------------------------
 
 
