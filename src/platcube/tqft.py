@@ -8,8 +8,8 @@ on its two active circles, a split edge by comultiplication, and both
 act as the identity on every spectator circle.  ``_edge_columns`` writes
 these rules into the sparse columns of each edge block.  Those columns
 depend only on the edge's shape, so they are tabulated once per shape
-and assembly, and the edges that share a table and a cube axis are laid
-out together.
+and assembly, and every edge's columns are gathered from those tables at
+once.
 
 Basis order: circles in ascending label order, the first circle most
 significant, and 1 before X in each factor.  So index 0 is all-1s and
@@ -36,7 +36,7 @@ bit twice: D∘D = 0 says exactly that every face of the cube commutes.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate, chain, repeat
@@ -160,11 +160,11 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
     Assembly holds at most 4 int64 per generator (q, the mark and the index
     arithmetic that makes them, later q, the mark and the weights) and 13 per
     generator and cube axis: three column maps (while they are written, also
-    the indices and values of one group of edges, on one axis), then for one
-    weight at a time its COO (at most two entries per column and axis, a row
-    and a column index each) and the copies the q test and
-    ``F2Matrix.from_coo`` make of it.  Sizes come from the circle counts
-    alone, so nothing is allocated.
+    at most six arrays with one entry per edge column), then for one weight
+    at a time its COO (at most two entries per column and axis, a row and a
+    column index each) and the copies the q test and ``F2Matrix.from_coo``
+    make of it.  Sizes come from the circle counts alone, so nothing is
+    allocated.
     """
     size = Counter()  # generators per weight
     for v, vertex in cube.vertices.items():
@@ -187,26 +187,34 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
 def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, int] | None]:
     """The (1, w) blocks from one column map D_a per cube axis, which dies on
     return, and the (source, target) generators of the first entry moving q.
-    The edges that share a table and an axis are written with one fancy-index
-    assignment per map."""
+    The maps are written at once: the edges' tables are laid end to end, and
+    one fancy index per map gathers every edge's columns from them."""
     out_a, out_b, terms = (np.zeros((cube.n, q.size), dtype=np.int64) for _ in range(3))
-    tables, groups = {}, defaultdict(list)  # (id of a table, axis) -> source, target start of each edge
+    tables, index, edges = [], {}, []  # distinct tables; id -> position; axis, starts and table per edge
     try:
         for (i_vertex, j_vertex), cob in cube.edges.items():
             cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cob)
-            tables[id(cmap)] = cmap
-            groups[id(cmap), (i_vertex ^ j_vertex).bit_length() - 1] += start[i_vertex], start[j_vertex]
-        for (table, a), ends in groups.items():
-            cmap = tables[table]
-            ends = np.array(ends).reshape(-1, 2)
-            cols = np.add.outer(ends[:, 0], np.arange(cmap.dim_in))
-            out_a[a, cols] = cmap.out_a + ends[:, 1:]
-            out_b[a, cols] = cmap.out_b + ends[:, 1:]
-            terms[a, cols] = cmap.terms
-            del ends, cols
+            if id(cmap) not in index:
+                index[id(cmap)] = len(tables)
+                tables.append(cmap)
+            edges += (i_vertex ^ j_vertex).bit_length() - 1, start[i_vertex], start[j_vertex], index[id(cmap)]
     finally:
         _shape_columns.cache_clear()
-    del tables, groups
+    if tables:
+        axis, start_i, start_j, table = np.array(edges).reshape(-1, 4).T
+        width = np.array([cmap.dim_in for cmap in tables])
+        cols = width[table]
+        at = np.arange(cols.sum()) - np.repeat(np.cumsum(cols) - cols, cols)  # column within its edge
+        rows = np.repeat((np.cumsum(width) - width)[table], cols) + at  # row of the tables end to end
+        shift = np.repeat(start_j, cols)
+        axis = np.repeat(axis, cols)
+        cols = np.repeat(start_i, cols) + at
+        del at
+        out_a[axis, cols] = np.concatenate([cmap.out_a for cmap in tables])[rows] + shift
+        out_b[axis, cols] = np.concatenate([cmap.out_b for cmap in tables])[rows] + shift
+        terms[axis, cols] = np.concatenate([cmap.terms for cmap in tables])[rows]
+        del axis, cols, rows, shift
+    del tables, index, edges
     blocks, moved = {}, None
     for w in sorted(size)[:-1]:  # every weight below the top has edges out
         lo = low[w]
