@@ -8,8 +8,8 @@ on its two active circles, a split edge by comultiplication, and both
 act as the identity on every spectator circle.  ``_edge_columns`` writes
 these rules into the sparse columns of each edge block.  Those columns
 depend only on the edge's shape, so they are tabulated once per shape
-and assembly, and every edge's columns are gathered from those tables at
-once.
+and assembly, and the columns of every edge along one cube axis are
+gathered from those tables at once.
 
 Basis order: circles in ascending label order, the first circle most
 significant, and 1 before X in each factor.  So index 0 is all-1s and
@@ -159,9 +159,9 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
 
     Assembly holds at most 4 int64 per generator (q, the mark and the index
     arithmetic that makes them, later q, the mark and the weights) and 13 per
-    generator and cube axis: three column maps (while they are written, also
-    at most six arrays with one entry per edge column), then for one weight
-    at a time its COO (at most two entries per column and axis, a row and a
+    generator and cube axis: three column maps (while one is written, also
+    at most five arrays of one entry per generator), then for one weight at
+    a time its COO (at most two entries per column and axis, a row and a
     column index each) and the copies the q test and ``F2Matrix.from_coo``
     make of it.  Sizes come from the circle counts alone, so nothing is
     allocated.
@@ -187,8 +187,8 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
 def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, int] | None]:
     """The (1, w) blocks from one column map D_a per cube axis, which dies on
     return, and the (source, target) generators of the first entry moving q.
-    The maps are written at once: the edges' tables are laid end to end, and
-    one fancy index per map gathers every edge's columns from them."""
+    Each D_a is written at once: the edges' tables are laid end to end, and
+    one fancy index per array gathers the columns of every edge along a."""
     out_a, out_b, terms = (np.zeros((cube.n, q.size), dtype=np.int64) for _ in range(3))
     tables, index, edges = [], {}, []  # distinct tables; id -> position; axis, starts and table per edge
     try:
@@ -201,19 +201,22 @@ def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, 
     finally:
         _shape_columns.cache_clear()
     if tables:
-        axis, start_i, start_j, table = np.array(edges).reshape(-1, 4).T
+        edges = np.array(edges).reshape(-1, 4)
         width = np.array([cmap.dim_in for cmap in tables])
-        cols = width[table]
-        at = np.arange(cols.sum()) - np.repeat(np.cumsum(cols) - cols, cols)  # column within its edge
-        rows = np.repeat((np.cumsum(width) - width)[table], cols) + at  # row of the tables end to end
-        shift = np.repeat(start_j, cols)
-        axis = np.repeat(axis, cols)
-        cols = np.repeat(start_i, cols) + at
-        del at
-        out_a[axis, cols] = np.concatenate([cmap.out_a for cmap in tables])[rows] + shift
-        out_b[axis, cols] = np.concatenate([cmap.out_b for cmap in tables])[rows] + shift
-        terms[axis, cols] = np.concatenate([cmap.terms for cmap in tables])[rows]
-        del axis, cols, rows, shift
+        first = np.cumsum(width) - width  # where each table starts, end to end
+        laid = [np.concatenate([getattr(cmap, name) for cmap in tables]) for name in ("out_a", "out_b", "terms")]
+        for a in range(cube.n):  # per axis, so the gather's arrays hold at most one entry per generator
+            _, start_i, start_j, table = edges[edges[:, 0] == a].T
+            cols = width[table]
+            at = np.arange(cols.sum()) - np.repeat(np.cumsum(cols) - cols, cols)  # column within its edge
+            rows = np.repeat(first[table], cols) + at
+            shift = np.repeat(start_j, cols)
+            cols = np.repeat(start_i, cols) + at
+            del at
+            out_a[a, cols] = laid[0][rows] + shift
+            out_b[a, cols] = laid[1][rows] + shift
+            terms[a, cols] = laid[2][rows]
+            del cols, rows, shift
     del tables, index, edges
     blocks, moved = {}, None
     for w in sorted(size)[:-1]:  # every weight below the top has edges out
