@@ -217,7 +217,6 @@ def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, 
             out_b[a, cols] = laid[1][rows] + shift
             terms[a, cols] = laid[2][rows]
             del cols, rows, shift
-    del tables, index, edges
     blocks, moved = {}, None
     for w in sorted(size)[:-1]:  # every weight below the top has edges out
         lo = low[w]
