@@ -8,8 +8,7 @@ on its two active circles, a split edge by comultiplication, and both
 act as the identity on every spectator circle.  ``_edge_columns`` writes
 these rules into the sparse columns of each edge block.  Those columns
 depend only on the edge's shape, so they are tabulated once per shape
-and assembly, and the columns of every edge along one cube axis are
-gathered from those tables at once.
+and assembly.
 
 Basis order: circles in ascending label order, the first circle most
 significant, and 1 before X in each factor.  So index 0 is all-1s and
@@ -18,8 +17,8 @@ for two circles the order is 1(x)1, 1(x)X, X(x)1, X(x)X.
 Generators of the total complex are grouped by vertex, vertices sorted
 by (weight, bitstring-as-integer).  The differential raises weight by
 exactly one and is stored as one block per source weight, gathered
-straight from the sparse columns of the edges, laid out as one column
-map D_a per cube axis a.  It preserves Khovanov's q = #1 - #X + weight.
+straight from the shape tables of the edges out of that weight.  It
+preserves Khovanov's q = #1 - #X + weight.
 
 Circle 0 holds segment 0, so every vertex has it, as its first circle:
 it is the top bit of every local index.  The generators whose circle 0
@@ -27,10 +26,11 @@ carries X, the upper half of each vertex, span the reduced subcomplex C~
 (a merge keeps X on the merged circle, a split sends X to X(x)X), and
 assembly marks them for ``specseq``, which ranks d_1 on C~ alone.
 
-Over GF(2) there are no signs, and D is the sum of the D_a.  So the part
-of D∘D from vertex v to v + e_a + e_b is D_b∘D_a + D_a∘D_b there, the
-commutator of the face (v; a, b), and D_a∘D_a = 0 since no edge sets a
-bit twice: D∘D = 0 says exactly that every face of the cube commutes.
+Over GF(2) there are no signs, and D is the sum of its parts D_a on the
+edges along each axis a.  So the part of D∘D from v to v + e_a + e_b is
+D_b∘D_a + D_a∘D_b there, the commutator of the face (v; a, b), and
+D_a∘D_a = 0 since no edge sets a bit twice: D∘D = 0 says exactly that
+every face of the cube commutes.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ class VertexSpace:
 
 @dataclass(frozen=True)
 class _ColumnMap:
-    """Sparse columns of an edge block or a cube axis: <= 2 output rows per input."""
+    """Sparse columns of an edge block: <= 2 output rows per input."""
 
     dim_in: int
     dim_out: int
@@ -82,11 +82,11 @@ class _ColumnMap:
     terms: np.ndarray  # 1 or 2 valid outputs per column; 0 = killed
 
     def coo(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, columns) of the entries; a stack of maps has columns on its last axis."""
+        """(rows, columns) of the entries."""
         first = self.terms >= 1
         second = self.terms >= 2
         ri = np.concatenate([self.out_a[first], self.out_b[second]])
-        ci = np.concatenate([np.nonzero(first)[-1], np.nonzero(second)[-1]])
+        ci = np.concatenate([np.flatnonzero(first), np.flatnonzero(second)])
         return ri, ci
 
 
@@ -159,12 +159,14 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
 
     Assembly holds at most 4 int64 per generator (q, the mark and the index
     arithmetic that makes them, later q, the mark and the weights) and 13 per
-    generator and cube axis: three column maps (while one is written, also
-    at most five arrays of one entry per generator), then for one weight at
-    a time its COO (at most two entries per column and axis, a row and a
-    column index each) and the copies the q test and ``F2Matrix.from_coo``
-    make of it.  Sizes come from the circle counts alone, so nothing is
-    allocated.
+    generator and cube axis: the shape tables laid end to end (3 arrays,
+    each table once), then, for one source weight at a time with E its
+    generators times the axes, at most 8.75 E: the gather's 4 arrays and 2
+    masks of E entries while it makes the COO (1.5 E entries, as only a
+    split's column with 1 on the split circle has two, a row and a column
+    index each) and one copy of an index; later the COO and the three copies
+    the q test and ``F2Matrix.from_coo`` make of an index (7.5 E).  Sizes
+    come from the circle counts alone, so nothing is allocated.
     """
     size = Counter()  # generators per weight
     for v, vertex in cube.vertices.items():
@@ -185,48 +187,47 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
 
 
 def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, int] | None]:
-    """The (1, w) blocks from one column map D_a per cube axis, which dies on
-    return, and the (source, target) generators of the first entry moving q.
-    Each D_a is written at once: the edges' tables are laid end to end, and
-    one fancy index per array gathers the columns of every edge along a."""
-    out_a, out_b, terms = (np.zeros((cube.n, q.size), dtype=np.int64) for _ in range(3))
-    tables, index, edges = [], {}, []  # distinct tables; id -> position; axis, starts and table per edge
+    """The (1, w) blocks and the (source, target) generators of the first
+    entry moving q.  The edges' tables are laid end to end, and each block's
+    entries are gathered straight from them, one source weight at a time."""
+    tables, index, edges = [], {}, []  # distinct tables; id -> position; axis, weight, starts and table per edge
     try:
         for (i_vertex, j_vertex), cob in cube.edges.items():
             cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cob)
             if id(cmap) not in index:
                 index[id(cmap)] = len(tables)
                 tables.append(cmap)
-            edges += (i_vertex ^ j_vertex).bit_length() - 1, start[i_vertex], start[j_vertex], index[id(cmap)]
+            axis = (i_vertex ^ j_vertex).bit_length() - 1
+            edges += axis, cube.weight(i_vertex), start[i_vertex], start[j_vertex], index[id(cmap)]
     finally:
         _shape_columns.cache_clear()
-    if tables:
-        edges = np.array(edges).reshape(-1, 4)
-        width = np.array([cmap.dim_in for cmap in tables])
-        first = np.cumsum(width) - width  # where each table starts, end to end
-        laid = [np.concatenate([getattr(cmap, name) for cmap in tables]) for name in ("out_a", "out_b", "terms")]
-        for a in range(cube.n):  # per axis, so the gather's arrays hold at most one entry per generator
-            _, start_i, start_j, table = edges[edges[:, 0] == a].T
-            cols = width[table]
-            at = np.arange(cols.sum()) - np.repeat(np.cumsum(cols) - cols, cols)  # column within its edge
-            rows = np.repeat(first[table], cols) + at
-            shift = np.repeat(start_j, cols)
-            cols = np.repeat(start_i, cols) + at
-            del at
-            out_a[a, cols] = laid[0][rows] + shift
-            out_b[a, cols] = laid[1][rows] + shift
-            terms[a, cols] = laid[2][rows]
-            del cols, rows, shift
     blocks, moved = {}, None
+    if not tables:
+        return blocks, moved
+    edges = np.array(edges).reshape(-1, 5)
+    # by axis, then source: each block's entries come by axis, then by source column
+    edges = edges[np.argsort(edges[:, 0], kind="stable")]
+    width = np.array([cmap.dim_in for cmap in tables])
+    first = np.cumsum(width) - width  # where each table starts, end to end
+    out_a, out_b, terms = (np.concatenate([getattr(cmap, name) for cmap in tables]) for name in ("out_a", "out_b", "terms"))
     for w in sorted(size)[:-1]:  # every weight below the top has edges out
-        lo = low[w]
-        cols = slice(lo, lo + size[w])
-        ri, ci = _ColumnMap(size[w], q.size, out_a[:, cols], out_b[:, cols], terms[:, cols]).coo()
+        lo, t_lo = low[w], low[w + 1]
+        _, _, start_i, start_j, table = edges[edges[:, 1] == w].T
+        cols = width[table]
+        # each edge's columns in turn: where they sit in the laid tables, then in the block
+        rows = np.arange(cols.sum()) + np.repeat(first[table] - (np.cumsum(cols) - cols), cols)
+        ci = rows + np.repeat(start_i - lo - first[table], cols)
+        shift = np.repeat(start_j, cols)
+        k = terms[rows]
+        one, two = k >= 1, k >= 2
+        ri = np.concatenate([out_a[rows[one]] + shift[one], out_b[rows[two]] + shift[two]])
+        ci = np.concatenate([ci[one], ci[two]])
+        del rows, shift, k, one, two
         bad = np.flatnonzero(q[ri] != q[ci + lo])
         if bad.size and moved is None:
             e = bad[np.argmin(ci[bad])]
             moved = (lo + int(ci[e]), int(ri[e]))
-        blocks[(1, w)] = F2Matrix.from_coo(size[w + 1], size[w], ri - low[w + 1], ci)
+        blocks[(1, w)] = F2Matrix.from_coo(size[w + 1], size[w], ri - t_lo, ci)
     return blocks, moved
 
 
@@ -263,7 +264,7 @@ def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainCom
     # q = c - 2 #X + weight; index bit 1 is X, so a local index's popcount counts the X factors
     base = [len(spaces[v].circles) + cube.weight(v) for v in order]
     q = np.repeat(base, dims) - 2 * np.bitwise_count(local)
-    del local  # before the column maps are allocated
+    del local  # before the blocks are gathered
 
     blocks, moved = _weight_blocks(cube, spaces, start, low, size, q)
     # the weights go in as an iterator, so only the complex's own tuple holds them
