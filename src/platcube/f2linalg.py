@@ -13,9 +13,9 @@ the nonzero bytes of the nonzero words.
 once, one round per rise of the rows' lowest set bits (the lowest-one
 pivot rule of persistent-homology column reduction).  ``rref`` keeps a
 loop over the columns for ``kernel_basis``, which is read off its
-reduced rows by numpy indexing.
-``row_int`` turns one row into a Python int, bit j = column j, for
-reporting a witness vector.
+reduced rows by numpy indexing.  ``F2Matrix.transpose`` goes through a
+dense 0/1 array.  Nothing in the package calls it: it is kept because
+``perfbench/spans.py`` wraps it and ``perfbench/micro.py`` replays it.
 """
 
 from __future__ import annotations
@@ -39,12 +39,6 @@ _STEP_WORDS = 1 << 16  # words of b gathered per matmul step (512 KiB)
 
 def _nwords(cols: int) -> int:
     return (cols + _WORD - 1) // _WORD
-
-
-def _pad_mask(cols: int) -> int:
-    """Mask of valid bits in the final word of a row."""
-    rem = cols % _WORD
-    return (1 << rem) - 1 if rem else (1 << _WORD) - 1
 
 
 class F2Matrix:
@@ -94,37 +88,12 @@ class F2Matrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def row_int(self, i: int) -> int:
-        return int.from_bytes(self.words[i].astype("<u8").tobytes(), "little")
-
     def to_dense(self) -> np.ndarray:
         if self.cols == 0:
             return np.zeros((self.rows, 0), dtype=np.uint8)
         bytes_ = self.words.astype("<u8").view(np.uint8)
         bits = np.unpackbits(bytes_, axis=1, bitorder="little")
         return bits[:, : self.cols]
-
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "F2Matrix":
-        """Contiguous block [r0:r1, c0:c1] as a fresh matrix."""
-        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
-            raise ValueError("submatrix range out of bounds")
-        height = r1 - r0
-        width = c1 - c0
-        nw_out = _nwords(width)
-        if width == 0 or height == 0:
-            return F2Matrix.zeros(height, width)
-        off, sh = divmod(c0, _WORD)
-        src = self.words[r0:r1]
-        pad = np.zeros((height, 2), dtype=np.uint64)
-        padded = np.concatenate([src, pad], axis=1)
-        if sh == 0:
-            out = padded[:, off : off + nw_out].copy()
-        else:
-            lo = padded[:, off : off + nw_out] >> np.uint64(sh)
-            hi = padded[:, off + 1 : off + nw_out + 1] << np.uint64(_WORD - sh)
-            out = lo | hi
-        out[:, -1] &= np.uint64(_pad_mask(width))
-        return F2Matrix(height, width, out)
 
     def is_zero(self) -> bool:
         return not self.words.any()
@@ -147,21 +116,7 @@ class F2Matrix:
         return F2Matrix(self.rows, self.cols, self.words ^ other.words)
 
     def transpose(self) -> "F2Matrix":
-        # chunked so the dense intermediate stays small on big matrices
-        out = F2Matrix.zeros(self.cols, self.rows)
-        if self.rows == 0 or self.cols == 0:
-            return out
-        chunk = 2048  # multiple of 64 keeps chunks word-aligned
-        for r0 in range(0, self.rows, chunk):
-            r1 = min(r0 + chunk, self.rows)
-            dense_t = self.submatrix(r0, r1, 0, self.cols).to_dense().T
-            width = r1 - r0
-            nw = _nwords(width)
-            padded = np.zeros((self.cols, nw * 8), dtype=np.uint8)
-            packed = np.packbits(dense_t, axis=1, bitorder="little")
-            padded[:, : packed.shape[1]] = packed
-            out.words[:, r0 // _WORD : r0 // _WORD + nw] = padded.view("<u8")
-        return out
+        return F2Matrix.from_dense(self.to_dense().T)
 
 
 def matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:

@@ -42,11 +42,12 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property
+from operator import gt
 
 import numpy as np
 
 from .cube import ConsistencyError
-from .f2linalg import F2Matrix, _set_bits, kernel_basis, matmul, rank
+from .f2linalg import F2Matrix, _column_bits, _set_bits, kernel_basis, matmul, rank
 
 __all__ = [
     "FilteredComplex",
@@ -82,8 +83,8 @@ class FilteredComplex:
     mark: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
-        if any(a > b for a, b in zip(self.weights, self.weights[1:])):
+        object.__setattr__(self, "weights", tuple(map(int, self.weights)))
+        if any(map(gt, self.weights, self.weights[1:])):
             raise ValueError("generator weights must be sorted ascending")
         for (r, w), mat in self.blocks.items():
             if not isinstance(r, int) or not isinstance(w, int) or r < 1:
@@ -141,7 +142,9 @@ class FilteredComplex:
 
         For source weight w the products B(s, w + r)·B(r, w) are summed
         per target weight before the zero test.  The witness is the lowest
-        failing generator and the image its whole column of D∘D.
+        failing generator, the lowest bit of the OR of the failing products'
+        rows, and the image its whole column of D∘D, read from one word
+        column of each product.
         """
         by_source: dict[int, list[tuple[int, F2Matrix]]] = {}
         for (r, w), mat in self.blocks.items():
@@ -153,12 +156,13 @@ class FilteredComplex:
                     prod = matmul(second, first)
                     t = w + r + s
                     sums[t] = sums[t] + prod if t in sums else prod
-            failing = [(self.low_index(t), p.transpose()) for t, p in sums.items() if not p.is_zero()]
-            for j in range(failing[0][1].rows if failing else 0):
+            failing = [(self.low_index(t), p.words) for t, p in sums.items() if not p.is_zero()]
+            if failing:
+                used = np.bitwise_or.reduce([np.bitwise_or.reduce(p, axis=0) for _, p in failing])
+                j = int(_set_bits(used, used.size, np.flatnonzero(used)[:1])[1][0])  # its lowest set bit
                 # the target blocks are disjoint, so adding their columns is a union
-                image = sum(pt.row_int(j) << lo for lo, pt in failing)
-                if image:
-                    return DSquaredReport(False, witness=self.low_index(w) + j, image=image)
+                image = sum(1 << (lo + int(i)) for lo, p in failing for i in np.flatnonzero(_column_bits(p, j)))
+                return DSquaredReport(False, witness=self.low_index(w) + j, image=image)
         return DSquaredReport(True)
 
 
@@ -333,7 +337,7 @@ def _cycle_dims(fc: FilteredComplex) -> Callable[[int, int], int]:
         if end == w + 2:  # only the (1, w) block acts
             return hi - lo - d1[w]
         ker = kernel_basis(fc.window(w, end)).basis
-        return rank(ker.submatrix(0, ker.rows, 0, hi - lo))
+        return rank(F2Matrix.from_dense(ker.to_dense()[:, : hi - lo]))
 
     def z(w: int, r: int) -> int:
         # a pure weight-1 differential has z_r = z_2 for every r >= 2
