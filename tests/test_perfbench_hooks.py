@@ -91,3 +91,39 @@ def test_reports_match_pinned_digests(monkeypatch, capsys, tmp_path):
             assert workloads.digest(report) == pins[workload][item.name], item.name
             checked.append(item.name)
     assert len(checked) == 7
+
+
+def test_traced_sources_feed_every_microbenchmark(monkeypatch, capsys, tmp_path):
+    """A traced pass over micro.SOURCE_ITEMS captures operands for every
+    kernel micro.py replays, and one replay of each runs.  A kernel call
+    that the pipeline stops making would otherwise show only in a
+    `--trace 1` benchmark run, as max() of an empty sequence."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    import micro
+    import spans
+    import workloads
+
+    tower, _, _ = workloads.twist_tower(workloads.DEFAULT_SEED)
+    higher, files, _ = workloads.higher_maps(workloads.DEFAULT_SEED, count=5)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    sources = [item for item in tower + higher if item.name in micro.SOURCE_ITEMS]
+    assert {item.name for item in sources} == micro.SOURCE_ITEMS
+    tracer = spans.Tracer()
+    tracer.install()
+    by_item = {}
+    try:
+        traced_main = tracer.wrap_main(cli.main)
+        for item in sources:
+            tracer.captured = {}
+            assert traced_main(item.argv) == 0, item.name
+            by_item[item.name] = tracer.captured
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    for name in spans.KERNELS:
+        assert micro.operands(name, by_item), name
+    metrics = micro.run(by_item, min_seconds=0, min_reps=1)
+    assert {f"micro.{name}_s" for name in spans.KERNELS} <= metrics.keys()
