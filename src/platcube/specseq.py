@@ -159,7 +159,7 @@ class FilteredComplex:
             failing = [(self.low_index(t), p.words) for t, p in sums.items() if not p.is_zero()]
             if failing:
                 used = np.bitwise_or.reduce([np.bitwise_or.reduce(p, axis=0) for _, p in failing])
-                j = int(_set_bits(used, used.size, np.flatnonzero(used)[:1])[1][0])  # its lowest set bit
+                j = int(_set_bits(used, used.size, np.flatnonzero(used)[:1])[1][0])
                 # the target blocks are disjoint, so adding their columns is a union
                 image = sum(1 << (lo + int(i)) for lo, p in failing for i in np.flatnonzero(_column_bits(p, j)))
                 return DSquaredReport(False, witness=self.low_index(w) + j, image=image)
