@@ -22,6 +22,8 @@ import sys
 import time
 from collections import Counter
 
+import numpy as np
+
 from .cube import MAX_BLOCK_BYTES, ConsistencyError, add_aux_unknot, braid_to_twists, build_cube
 from .f2linalg import F2Matrix, rank
 from .invariants import goeritz_data
@@ -81,13 +83,16 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
         tokens.extend(body.split())
     n_twists = cc.cube.n
     size = Counter(cc.filtered.weights)
-    coords: dict[tuple[int, int], tuple[list[int], list[int]]] = {}
+    coords: dict[tuple[int, int], tuple[list[np.ndarray], list[np.ndarray]]] = {}
     pos = 0
+
+    def ended(what: str) -> ValueError:
+        return ValueError(f"higher-maps table ended early: expected {what}")
 
     def take(what: str) -> str:
         nonlocal pos
         if pos >= len(tokens):
-            raise ValueError(f"higher-maps table ended early: expected {what}")
+            raise ended(what)
         tok = tokens[pos]
         pos += 1
         return tok
@@ -114,19 +119,22 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
             )
         rows = cc.spaces[tgt].dim
         cols = cc.spaces[src].dim
-        ri, ci = coords.setdefault((r, cc.cube.weight(src)), ([], []))
-        for q in range(rows):
-            row = take(f"row {q} of block {src_bits}->{tgt_bits}")
-            if len(row) != cols or set(row) - {"0", "1"}:
+        block = tokens[pos : pos + rows]
+        pos += rows
+        for row in block:  # a bad row is reported before the table's end
+            if len(row) != cols or row.strip("01"):
                 raise ValueError(
                     f"higher-maps table: row {row!r} is not {cols} binary digits"
                 )
-            for p, ch in enumerate(row):
-                if ch == "1":
-                    ri.append(cc.offsets[tgt] + q)
-                    ci.append(cc.offsets[src] + p)
+        if len(block) < rows:
+            raise ended(f"row {len(block)} of block {src_bits}->{tgt_bits}")
+        ones = np.frombuffer("".join(block).encode("ascii"), dtype=np.uint8) == ord("1")
+        q, p = np.divmod(np.flatnonzero(ones), cols)
+        ri, ci = coords.setdefault((r, cc.cube.weight(src)), ([], []))
+        ri.append(cc.offsets[tgt] + q)
+        ci.append(cc.offsets[src] + p)
     return {
-        (r, w): F2Matrix.from_coo(size[w + r], size[w], ri, ci)
+        (r, w): F2Matrix.from_coo(size[w + r], size[w], np.concatenate(ri), np.concatenate(ci))
         for (r, w), (ri, ci) in sorted(coords.items())
     }
 

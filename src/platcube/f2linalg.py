@@ -11,11 +11,18 @@ the nonzero bytes of the nonzero words.
 
 ``rank`` counts the owners of ``_echelon``, which reduces every row at
 once, one round per rise of the rows' lowest set bits (the lowest-one
-pivot rule of persistent-homology column reduction).  ``rref`` keeps a
-loop over the columns for ``kernel_basis``, which is read off its
-reduced rows by numpy indexing.  ``F2Matrix.transpose`` goes through a
-dense 0/1 array.  Nothing in the package calls it: it is kept because
-``perfbench/spans.py`` wraps it and ``perfbench/micro.py`` replays it.
+pivot rule of persistent-homology column reduction).  ``rref``, which
+serves only ``kernel_basis``, eliminates over Python ints instead: each
+row is one int with its bits reversed, so its leftmost column is its
+highest bit and ``int.bit_length`` finds the pivot.  That suits the page
+windows, of 100-4,000 columns at about half rank, where numpy's per-call
+overhead dominated a loop over the columns.  ``rank`` stays on rounds:
+on the thousands of rows of the d_1 sub-blocks of 4-strand ``s2^10`` and
+``s2^11`` the same int loop was two to four times slower.
+``kernel_basis`` is read off the reduced rows by numpy indexing.
+``F2Matrix.transpose`` goes through a dense 0/1 array.  Nothing in the
+package calls it: it is kept because ``perfbench/spans.py`` wraps it and
+``perfbench/micro.py`` replays it.
 """
 
 from __future__ import annotations
@@ -35,6 +42,8 @@ __all__ = [
 
 _WORD = 64
 _STEP_WORDS = 1 << 16  # words of b gathered per matmul step (512 KiB)
+# byte -> its bits in reverse order; rref's rows are read and written through it
+_REV = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def _nwords(cols: int) -> int:
@@ -170,26 +179,48 @@ def rref(m: F2Matrix) -> tuple[F2Matrix, int, tuple[int, ...]]:
 
     Leftmost-pivot, eliminate-above-and-below, so R is the canonical
     basis of the row space (padded with zero rows).
+
+    Each row is one Python int with its bits reversed: its bytes read
+    big-endian after ``_REV``, so column c is bit 64·nw − 1 − c and a row's
+    leftmost column is its highest bit, which ``int.bit_length`` finds in
+    O(1) (a lowest-bit key would need ``x & -x``, two more big ints a
+    step).  The forward pass XORs each row with the basis row owning its
+    highest bit until that bit is new or the row vanishes.  The backward
+    pass clears the pivots rightmost first: a row XORs in the cleared row
+    owning each other pivot bit it has, which adds no pivot bit, so the
+    cost follows the fill of R rather than rank².  The rows are written
+    back through ``_REV`` into one byte buffer, never a dense 0/1 array.
+    ``rank`` does not use this loop (see the module docstring).
     """
-    w = m.words.copy()
-    pivots = []
-    r = 0
-    for col in range(m.cols):
-        if r >= m.rows:
-            break
-        bits = _column_bits(w, col)
-        cand = np.nonzero(bits[r:])[0]
-        if cand.size == 0:
-            continue
-        p = r + int(cand[0])
-        if p != r:
-            w[[r, p]] = w[[p, r]]
-            bits[[r, p]] = bits[[p, r]]
-        bits[r] = False
-        w[bits] ^= w[r]
-        pivots.append(col)
-        r += 1
-    return F2Matrix(m.rows, m.cols, w), r, tuple(pivots)
+    nb = m.words.shape[1] * 8  # bytes per row
+    flat = _REV[m.words.astype("<u8").view(np.uint8)].tobytes()
+    owner: dict[int, int] = {}  # highest bit -> basis row
+    for i in range(m.rows):
+        x = int.from_bytes(flat[i * nb : (i + 1) * nb], "big")
+        while x:
+            h = x.bit_length()
+            y = owner.get(h)
+            if y is None:
+                owner[h] = x
+                break
+            x ^= y
+    del flat  # the ints hold the rows now
+    below = 0  # the pivot bits already cleared, all lower than the next
+    for h in sorted(owner):
+        x = owner[h]
+        t = x & below
+        while t:
+            x ^= owner[t.bit_length()]
+            t = x & below
+        owner[h] = x
+        below |= 1 << (h - 1)
+    order = sorted(owner, reverse=True)  # leftmost pivot first
+    out = np.zeros((m.rows, nb), dtype=np.uint8)
+    view = memoryview(out.reshape(-1))
+    for i, h in enumerate(order):
+        view[i * nb : (i + 1) * nb] = owner.pop(h).to_bytes(nb, "big")
+    w = _REV[out].view("<u8").astype(np.uint64, copy=False)
+    return F2Matrix(m.rows, m.cols, w), len(order), tuple(nb * 8 - h for h in order)
 
 
 def _echelon(m: F2Matrix) -> np.ndarray:
@@ -243,7 +274,9 @@ def kernel_basis(m: F2Matrix) -> "Subspace":
     with bit f set, so they are independent.
     """
     R, rk, pivots = rref(m)
-    free = np.setdiff1d(np.arange(m.cols), pivots)
+    is_free = np.ones(m.cols, dtype=bool)
+    is_free[list(pivots)] = False
+    free = np.flatnonzero(is_free)
     basis = np.zeros((free.size, m.cols), dtype=np.uint8)
     basis[np.arange(free.size), free] = 1
     basis[:, list(pivots)] = R.to_dense()[:rk, free].T

@@ -405,6 +405,38 @@ def split_by_block(weights, d):
     return blocks
 
 
+# -- higher-map tables ------------------------------------------------
+
+
+def naive_table_blocks(text, layout):
+    """{(shift, source weight): dense block} of a valid --higher-maps table,
+    read one character at a time; a repeated record adds mod 2.
+
+    layout lists (bitstring, weight, offset, dim) for every vertex, the
+    offsets counting all generators in order of weight.
+    """
+    where = {bits: (w, off, dim) for bits, w, off, dim in layout}
+    low, size = {}, Counter()
+    for _, w, off, dim in layout:
+        low[w] = min(low.get(w, off), off)
+        size[w] += dim
+    tokens = []
+    for line in text.splitlines():
+        tokens += line.split("#", 1)[0].split()
+    blocks: dict[tuple[int, int], np.ndarray] = {}
+    pos = 0
+    while pos < len(tokens):
+        r, (sw, s_off, _), (tw, t_off, t_dim) = int(tokens[pos]), where[tokens[pos + 1]], where[tokens[pos + 2]]
+        pos += 3
+        block = blocks.setdefault((r, sw), np.zeros((size[sw + r], size[sw]), dtype=np.uint8))
+        for q in range(t_dim):
+            for p, ch in enumerate(tokens[pos]):
+                if ch == "1":
+                    block[t_off - low[tw] + q, s_off - low[sw] + p] ^= 1
+            pos += 1
+    return blocks
+
+
 # -- misc -------------------------------------------------------------
 
 

@@ -10,12 +10,18 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import platcube
-from platcube.cli import main, run
+from platcube.cli import main, parse_higher_maps_text, run
+from platcube.cube import braid_to_twists, build_cube
+from platcube.tangle import parse_braid_word
+from platcube.tqft import assemble_complex
+
+from oracles import naive_table_blocks
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -388,6 +394,7 @@ def test_higher_maps_d2_failure_dumps_witness(tmp_path, capsys):
         ("3 00 11" + " 0000" * 8, "shifts weight by 2, not 3"),
         ("2 00 11 0000", "ended early"),
         ("2 00 11 00001" + " 0000" * 7, "binary digits"),
+        ("2 00 11 0000 00001", "row '00001' is not 4 binary digits"),  # before the early end
         ("1 00 01 0000 0000", ">= 2"),  # parses, then the loader rejects r=1
     ],
 )
@@ -411,6 +418,47 @@ def test_higher_maps_comments_and_spacing(tmp_path, capsys):
     path = write_table(tmp_path, messy)
     code, out, err = invoke(["--strands", "4", "--word", "s2 s2", "--higher-maps", path], capsys)
     assert code == 0  # an all-zero block is a no-op
+
+
+def test_higher_maps_rows_are_ascii_binary():
+    """A row is checked before the table's end is, and a digit outside ASCII
+    is not a binary digit, in a row or a bitstring."""
+    cc = assemble_complex(build_cube(braid_to_twists(parse_braid_word("s2 s2", 4)), 4))
+    for row in ("00001", "0020", "00\u0661\u0660", "\uff10000", "00\u00b90"):
+        with pytest.raises(ValueError, match=f"row {row!r} is not 4 binary digits"):
+            parse_higher_maps_text(f"2 00 11 0000 {row}", cc)
+        with pytest.raises(ValueError, match=f"row {row!r} is not 4 binary digits"):
+            parse_higher_maps_text(f"2 00 11 {row} 0000 0000 0000", cc)
+    with pytest.raises(ValueError, match="ended early: expected row 2 of block 00->11"):
+        parse_higher_maps_text("2 00 11 0000 0001", cc)
+    with pytest.raises(ValueError, match="source bitstring '0\u0660' is not 2 binary digits"):
+        parse_higher_maps_text("2 0\u0660 11 0000 0000 0000 0000", cc)
+
+
+def test_table_blocks_match_per_character_oracle(monkeypatch):
+    """parse_higher_maps_text gives the blocks of a per-character reading on
+    the benchmark's 50 higher-maps tables, also with every record given twice
+    (each block cancels to zero) and with the first record repeated."""
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    import workloads
+
+    items, files, _ = workloads.higher_maps(workloads.DEFAULT_SEED)
+    assert len(items) == 50
+    for item in items:
+        argv = item.argv
+        strands, word = int(argv[argv.index("--strands") + 1]), argv[argv.index("--word") + 1]
+        text = files[argv[argv.index("--higher-maps") + 1]]
+        layout, _, _ = workloads._cube_complex(strands, word)
+        cc = assemble_complex(build_cube(braid_to_twists(parse_braid_word(word, strands)), strands))
+        lines = text.splitlines()
+        first = next((i for i in range(1, len(lines)) if " " in lines[i]), len(lines))
+        for table in (text, text + text, text + "\n".join(lines[:first]) + "\n"):
+            blocks = parse_higher_maps_text(table, cc)
+            want = naive_table_blocks(table, layout)
+            assert blocks.keys() == want.keys(), item.name
+            for key, block in blocks.items():
+                assert np.array_equal(block.to_dense(), want[key]), (item.name, key)
 
 
 def _vertex_table(strands, word):

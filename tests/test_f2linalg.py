@@ -1,6 +1,7 @@
 """Bit-packed GF(2) kernels checked against the dense references."""
 
 import random
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
@@ -63,17 +64,16 @@ def test_empty_shapes():
 # -- agreement with the dense oracle ----------------------------------
 
 
-def test_rank_matches_dense():
-    """Wide, square and tall matrices of 0-300 columns, so rows span several
-    words, from density 0.01 to 0.9; some with duplicated rows, some with
-    groups of rows that share a lowest set bit.  rank leaves its argument as
-    it was."""
-    rng = np.random.default_rng(2)
-    kinds = {"plain": 0, "duplicated": 0, "shared lowest bit": 0}
-    for _ in range(160):
+def elimination_cases(rng, count):
+    """(kind, matrix) pairs: wide, square and tall matrices of 0-300 rows and
+    columns, so rows span several words, from density 0.01 to 0.9; some with
+    duplicated rows, some with groups of rows that share a lowest set bit.
+    Every kind comes up at least 20 times in 160 cases."""
+    kinds = ("plain", "duplicated", "shared lowest bit")
+    for _ in range(count):
         rows, cols = (int(x) for x in rng.integers(0, 301, 2))
         a = (rng.random((rows, cols)) < rng.choice([0.01, 0.05, 0.1, 0.5, 0.9])).astype(np.uint8)
-        kind = rng.choice(list(kinds)) if rows >= 2 and cols else "plain"
+        kind = rng.choice(kinds) if rows >= 2 and cols else "plain"
         if kind == "duplicated":
             a[rng.integers(0, rows, rows // 2)] = a[rng.integers(0, rows, rows // 2)]
         elif kind == "shared lowest bit":
@@ -82,22 +82,43 @@ def test_rank_matches_dense():
                 c = int(rng.integers(0, cols))
                 a[group, :c] = 0
                 a[group, c] = 1
+        yield kind, a
+
+
+def test_rank_matches_dense():
+    """rank agrees with the dense oracle on elimination_cases and leaves its
+    argument as it was."""
+    kinds = Counter()
+    for kind, a in elimination_cases(np.random.default_rng(2), 160):
         kinds[kind] += 1
         m = F2Matrix.from_dense(a)
         before = m.words.copy()
         assert rank(m) == dense_rank(a)
         assert np.array_equal(m.words, before)
-    assert min(kinds.values()) >= 20, kinds
+    assert len(kinds) == 3 and min(kinds.values()) >= 20, kinds
 
 
 def test_rref_matches_dense():
-    rng = random.Random(3)
-    for _ in range(60):
-        a = rand_dense(rng, rng.randint(1, 20), rng.randint(1, 90))
-        got, rk, pivots = rref(F2Matrix.from_dense(a))
+    """rref gives the dense oracle's reduced rows and pivots on
+    elimination_cases, on zero rows or columns, and on widths at the 64- and
+    128-bit word boundaries.  It leaves its argument as it was, its pivots
+    are _echelon's (the leading columns of a row space are unique), and it
+    is idempotent."""
+    rng = np.random.default_rng(3)
+    cases = [a for _, a in elimination_cases(rng, 160)]
+    cases += [np.zeros(shape, dtype=np.uint8) for shape in ((0, 0), (0, 70), (5, 0), (0, 300), (4, 130))]
+    for cols in (63, 64, 65, 127, 128, 129, 191, 192, 193):
+        cases += [(rng.random((rows, cols)) < 0.5).astype(np.uint8) for rows in (3, cols, 2 * cols)]
+        cases.append(np.ones((4, cols), dtype=np.uint8))
+    for a in cases:
+        m = F2Matrix.from_dense(a)
+        before = m.words.copy()
+        got, rk, pivots = rref(m)
         ref, ref_pivots = dense_rref(a)
+        assert np.array_equal(m.words, before)
         assert rk == len(ref_pivots)
-        assert tuple(pivots) == tuple(ref_pivots)
+        assert pivots == tuple(ref_pivots) == tuple(f2linalg._echelon(m).tolist())
+        assert got.shape == m.shape and got.words.dtype == np.uint64
         assert np.array_equal(got.to_dense(), ref)
         again, rk2, _ = rref(got)
         assert rk2 == rk and again == got  # idempotent
