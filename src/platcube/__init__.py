@@ -20,6 +20,7 @@ from .cube import (
     build_cube,
 )
 from .f2linalg import (
+    F2Coo,
     F2Matrix,
     Subspace,
     kernel_basis,
@@ -63,6 +64,7 @@ __all__ = [
     "BraidWord",
     "ChainComplexF2",
     "CubeVertex",
+    "F2Coo",
     "F2Matrix",
     "FilteredComplex",
     "GoeritzData",

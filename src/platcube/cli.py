@@ -25,7 +25,7 @@ from collections import Counter
 import numpy as np
 
 from .cube import MAX_BLOCK_BYTES, ConsistencyError, add_aux_unknot, braid_to_twists, build_cube
-from .f2linalg import F2Matrix, rank
+from .f2linalg import F2Coo, rank
 from .invariants import goeritz_data
 from .specseq import HigherMapError, compute_pages, load_higher_maps, rank_bounds
 from .tangle import BraidWord, PlatClosure, mirror, parse_braid_word, parse_plat
@@ -69,13 +69,14 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int], F2Matrix]:
+def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int], F2Coo]:
     """Parse the whitespace-delimited block table into weight blocks.
 
-    Record: shift r, source and target vertex bitstrings, then one 0/1
-    row string per target basis vector (leftmost character is column 0
-    of the block).  '#' starts a comment running to end of line.  The
-    result is keyed (r, source weight) like ``FilteredComplex.blocks``.
+    Record: shift r in ASCII digits, source and target vertex bitstrings,
+    then one 0/1 row string per target basis vector (leftmost character is
+    column 0 of the block).  '#' starts a comment running to end of line.
+    The result is keyed (r, source weight) like ``FilteredComplex.blocks``;
+    an entry given twice cancels.
     """
     tokens = []
     for line in text.splitlines():
@@ -99,10 +100,9 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
 
     while pos < len(tokens):
         tok = take("a shift")
-        try:
-            r = int(tok)
-        except ValueError:
-            raise ValueError(f"higher-maps table: bad shift token {tok!r}") from None
+        if not (tok.isascii() and tok.isdigit()):  # int() also takes '+2', '1_0' and other scripts' digits
+            raise ValueError(f"higher-maps table: bad shift token {tok!r}")
+        r = int(tok)
         src_bits = take("a source bitstring")
         tgt_bits = take("a target bitstring")
         for name, bits in (("source", src_bits), ("target", tgt_bits)):
@@ -134,7 +134,7 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
         ri.append(cc.offsets[tgt] + q)
         ci.append(cc.offsets[src] + p)
     return {
-        (r, w): F2Matrix.from_coo(size[w + r], size[w], np.concatenate(ri), np.concatenate(ci))
+        (r, w): F2Coo(size[w + r], size[w], np.concatenate(ri), np.concatenate(ci))
         for (r, w), (ri, ci) in sorted(coords.items())
     }
 
@@ -290,7 +290,7 @@ def selftest(seed: int | None) -> bool:
         for x in (b, mirror(b)):
             fc = assemble_complex(build_cube(braid_to_twists(x), strands)).to_filtered()
             pages = compute_pages(fc, r_max=2)
-            full = {w: rank(fc.blocks[(1, w)]) if (1, w) in fc.blocks else 0 for w in fc.weight_values}
+            full = {w: rank(fc.blocks[(1, w)].to_matrix()) if (1, w) in fc.blocks else 0 for w in fc.weight_values}
             if pages.page(1).d_ranks != full:
                 print(
                     f"selftest FAILED: word {x.as_text()!r} has d_1 ranks {pages.page(1).d_ranks} "

@@ -1,13 +1,14 @@
 """Bit-packed exact linear algebra over the two-element field.
 
-Matrices are stored row-major, 64 columns per uint64 word, with the
+``F2Matrix`` is stored row-major, 64 columns per uint64 word, with the
 padding bits of the last word kept at zero.  Every operation is pure:
-arguments are never mutated and results are freshly allocated.  Storage
-is dense.  ``matmul`` visits only the set bits of its left operand and
-costs nnz(a)·⌈b.cols/64⌉ word XORs, so squaring a sparse matrix such as
-a cube differential (at most 2 entries per edge per column) is cheap.
-``_set_bits`` lists set bits for it and for ``specseq`` by unpacking only
-the nonzero bytes of the nonzero words.
+arguments are never mutated and results are freshly allocated.  A sparse
+matrix, such as a block of a cube differential (at most 2 entries per edge
+per column), is kept as an ``F2Coo``, its int32 entries, and made dense
+only in the parts a kernel needs.  ``matmul`` visits only the set bits of
+its left operand and costs nnz(a)·⌈b.cols/64⌉ word XORs.  ``_set_bits``
+lists set bits for it and for ``specseq`` by unpacking only the nonzero
+bytes of the nonzero words.
 
 ``rank`` counts the owners of ``_echelon``, which reduces every row at
 once, one round per rise of the rows' lowest set bits (the lowest-one
@@ -33,6 +34,7 @@ import numpy as np
 
 __all__ = [
     "F2Matrix",
+    "F2Coo",
     "Subspace",
     "matmul",
     "rank",
@@ -126,6 +128,60 @@ class F2Matrix:
 
     def transpose(self) -> "F2Matrix":
         return F2Matrix.from_dense(self.to_dense().T)
+
+
+class F2Coo:
+    """Sparse matrix over GF(2): the int32 row and column of each entry.
+
+    Entries given more than once cancel in pairs at construction, and the
+    rest are kept once each, in row-major order, so equal matrices have
+    equal arrays.  An entry outside rows x cols is refused.
+    """
+
+    __slots__ = ("rows", "cols", "ri", "ci")
+
+    def __init__(self, rows: int, cols: int, ri, ci):
+        ri, ci = np.asarray(ri, dtype=np.int64), np.asarray(ci, dtype=np.int64)
+        if ri.shape != ci.shape or ri.ndim != 1:
+            raise ValueError("row and column indices must be two 1-d arrays of one length")
+        if ri.size and (min(ri.min(), ci.min()) < 0 or ri.max() >= rows or ci.max() >= cols):
+            raise ValueError(f"an entry lies outside a {rows}x{cols} matrix")
+        key = ri * cols
+        key += ci
+        key.sort()
+        repeated = key[1:] == key[:-1]
+        if repeated.any():  # keep one of each run of odd length
+            starts = np.flatnonzero(np.concatenate(([True], ~repeated)))
+            key = key[starts[np.diff(starts, append=key.size) & 1 == 1]]
+        self.rows, self.cols = rows, cols
+        self.ri = (key // cols).astype(np.int32)  # no entry, so no division, when cols is 0
+        self.ci = (key % cols).astype(np.int32)
+
+    @classmethod
+    def from_matrix(cls, m: F2Matrix) -> "F2Coo":
+        words = m.words.reshape(-1)
+        return cls(m.rows, m.cols, *_set_bits(words, m.words.shape[1], np.flatnonzero(words)))
+
+    def to_matrix(self) -> F2Matrix:
+        return F2Matrix.from_coo(self.rows, self.cols, self.ri, self.ci)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    @property
+    def nnz(self) -> int:
+        return self.ri.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, F2Coo):
+            return NotImplemented
+        return self.shape == other.shape and np.array_equal(self.ri, other.ri) and np.array_equal(self.ci, other.ci)
+
+    def __add__(self, other: "F2Coo") -> "F2Coo":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
+        return F2Coo(self.rows, self.cols, np.concatenate([self.ri, other.ri]), np.concatenate([self.ci, other.ci]))
 
 
 def matmul(a: F2Matrix, b: F2Matrix) -> F2Matrix:

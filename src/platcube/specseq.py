@@ -17,11 +17,18 @@ is read off the kernel of the diagonal block of D on the contiguous window
 of weights [w, w + r); rank d_r^w = z_r^w - z_{r+1}^w, and
 b_r^w is the sum of the ranks of the d_s (s < r) that land at w.
 
-D is stored as one block per shift r >= 1 and source weight w.  z_1^w is
-the number m_w of weight-w generators, and z_2^w = m_w - rk_w, where rk_w
-is the rank of the (1, w) block.  A pure weight-1 differential, such as
-the cube's, has z_r^w = z_2^w for r >= 2.  Only wider windows of a complex
-with higher maps are built, from the blocks, and eliminated.
+D is stored as one block per shift r >= 1 and source weight w, each as
+its entries (``F2Coo``); dense matrices are built only for the parts that
+``d∘d``, a rank or a window needs.  When q is given, every entry keeps it
+and some block is wider than one 64-bit word, D∘D goes one q-grade at a
+time, as Bar-Natan computes Khovanov homology one q-degree at a time
+(arXiv:math/0201043).
+
+z_1^w is the number m_w of weight-w generators, and z_2^w = m_w - rk_w,
+where rk_w is the rank of the (1, w) block.  A pure weight-1
+differential, such as the cube's, has z_r^w = z_2^w for r >= 2.  Only
+wider windows of a complex with higher maps are built, from the blocks,
+and eliminated.
 
 A cube complex also marks the generators whose circle 0 carries X.  They
 span a subcomplex C~ that keeps q, and over GF(2) Kh = Khr (x) A
@@ -47,7 +54,7 @@ from operator import gt
 import numpy as np
 
 from .cube import ConsistencyError
-from .f2linalg import F2Matrix, _column_bits, _set_bits, kernel_basis, matmul, rank
+from .f2linalg import _WORD, F2Coo, F2Matrix, _column_bits, _set_bits, kernel_basis, matmul, rank
 
 __all__ = [
     "FilteredComplex",
@@ -63,12 +70,17 @@ __all__ = [
 ]
 
 
+def _coo(mat: F2Coo | F2Matrix) -> F2Coo:
+    return F2Coo.from_matrix(mat) if isinstance(mat, F2Matrix) else mat
+
+
 @dataclass(frozen=True, eq=False)
 class FilteredComplex:
     """Weight-filtered complex: sorted generator weights + blocks of D.
 
     blocks maps (r, w), a shift r >= 1 and a source weight w, to the
-    block of D from the weight-w generators to the weight-(w + r) ones.
+    block of D from the weight-w generators to the weight-(w + r) ones, as
+    an ``F2Coo`` (a block given as an ``F2Matrix`` is converted once).
     Rows index targets, columns sources, each in generator order.
     q, when given, is a second grading of the generators that every
     (1, w) block preserves (the cube's quantum grading).  mark, when
@@ -78,7 +90,7 @@ class FilteredComplex:
     """
 
     weights: tuple[int, ...]
-    blocks: dict[tuple[int, int], F2Matrix]
+    blocks: dict[tuple[int, int], F2Coo]
     q: np.ndarray | None = None
     mark: np.ndarray | None = None
 
@@ -86,12 +98,15 @@ class FilteredComplex:
         object.__setattr__(self, "weights", tuple(map(int, self.weights)))
         if any(map(gt, self.weights, self.weights[1:])):
             raise ValueError("generator weights must be sorted ascending")
+        blocks = {}
         for (r, w), mat in self.blocks.items():
             if not isinstance(r, int) or not isinstance(w, int) or r < 1:
                 raise ValueError(f"block key {(r, w)!r} must be integers (shift >= 1, source weight)")
             (lo, hi), (t_lo, t_hi) = self.block_range(w), self.block_range(w + r)
             if mat.shape != (t_hi - t_lo, hi - lo):
                 raise ValueError(f"block {(r, w)} has shape {mat.shape}, expected {(t_hi - t_lo, hi - lo)}")
+            blocks[(r, w)] = _coo(mat)
+        object.__setattr__(self, "blocks", blocks)
         if self.q is not None and len(self.q) != self.n:
             raise ValueError(f"q grades {len(self.q)} generators, not {self.n}")
         if self.mark is not None and (self.q is None or len(self.mark) != self.n):
@@ -104,15 +119,13 @@ class FilteredComplex:
         return len(self.weights)
 
     def window(self, lo: int, hi: int) -> F2Matrix:
-        """The diagonal block of D on the generators of weights [lo, hi), from the blocks' set bits."""
+        """The diagonal block of D on the generators of weights [lo, hi), from the blocks' entries."""
         base, top = self.low_index(lo), self.low_index(hi)
         ri, ci = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for (r, w), mat in self.blocks.items():
+        for (r, w), blk in self.blocks.items():
             if lo <= w and w + r < hi:
-                words = mat.words.reshape(-1)
-                rows, cols = _set_bits(words, mat.words.shape[1], np.flatnonzero(words))
-                ri.append(rows + self.low_index(w + r) - base)
-                ci.append(cols + self.low_index(w) - base)
+                ri.append(blk.ri + (self.low_index(w + r) - base))
+                ci.append(blk.ci + (self.low_index(w) - base))
         return F2Matrix.from_coo(top - base, top - base, np.concatenate(ri), np.concatenate(ci))
 
     @cached_property
@@ -134,36 +147,136 @@ class FilteredComplex:
 
     @property
     def max_shift(self) -> int:
-        return max((r for (r, _), m in self.blocks.items() if not m.is_zero()), default=0)
+        return max((r for (r, _), blk in self.blocks.items() if blk.nnz), default=0)
+
+    def _graded_by_q(self) -> bool:
+        """Does D∘D go one q-grade at a time?  Only if q is given, every entry
+        keeps it, and some block is wider than one 64-bit word: a narrower
+        block costs one word per row whole, so grading it saves nothing."""
+        if self.q is None or all(blk.cols <= _WORD for blk in self.blocks.values()):
+            return False
+        return all(
+            np.array_equal(self.q[self.low_index(w + r) + blk.ri], self.q[self.low_index(w) + blk.ci])
+            for (r, w), blk in self.blocks.items()
+        )
 
     @cached_property
     def _d_squared(self) -> DSquaredReport:
-        """D∘D one source weight at a time, lowest first.
+        """D∘D one source weight at a time, lowest first, and one grade at a time.
 
-        For source weight w the products B(s, w + r)·B(r, w) are summed
-        per target weight before the zero test.  The witness is the lowest
-        failing generator, the lowest bit of the OR of the failing products'
-        rows, and the image its whole column of D∘D, read from one word
-        column of each product.
+        The grade is q when ``_graded_by_q`` holds, else one grade for all.
+        Each block is cut into dense parts, one per grade, between the
+        generators of that grade, each indexed by its position among them.
+        Since D keeps the grade, so does D∘D, and for source weight w the
+        products B(s, w + r)·B(r, w) of each grade are summed per target
+        weight before the zero test.  Only the parts of the blocks out of
+        weights w and above that the products still need are held.  The
+        witness is the lowest failing generator over all grades: in each
+        grade the lowest bit of the OR of the failing products' rows.  The
+        image is its whole column of D∘D, read from one word column of each
+        product of its grade and mapped back to generators.
         """
-        by_source: dict[int, list[tuple[int, F2Matrix]]] = {}
-        for (r, w), mat in self.blocks.items():
-            by_source.setdefault(w, []).append((r, mat))
+        by_source: dict[int, list[int]] = {}
+        for r, w in self.blocks:
+            by_source.setdefault(w, []).append(r)
+        graded = self._graded_by_q()
+        gradings: dict[int, tuple[np.ndarray, _Grading, np.ndarray]] = {}
+        parts: dict[tuple[int, int], dict[int, F2Matrix]] = {}
+
+        def grading(w: int) -> tuple[np.ndarray, _Grading, np.ndarray]:
+            """The weight-w generators' grades, grouped, and each one's position in its grade."""
+            if w not in gradings:
+                lo, hi = self.block_range(w)
+                g = self.q[lo:hi] if graded else None
+                by = _Grading(g, hi - lo)
+                gradings[w] = g, by, by.positions()
+            return gradings[w]
+
+        def cut(key: tuple[int, int]) -> dict[int, F2Matrix]:
+            """Block key's dense part in each grade that has an entry."""
+            if key not in parts:
+                (r, w), blk = key, self.blocks[key]
+                (g, src, pos), (_, tgt, t_pos) = grading(w), grading(w + r)
+                entries = _Grading(None if g is None else g[blk.ci], blk.nnz)
+                parts[key] = {
+                    v: F2Matrix.from_coo(tgt.members(v).size, src.members(v).size, t_pos[blk.ri[e]], pos[blk.ci[e]])
+                    for v, e in entries.groups()
+                }
+            return parts[key]
+
         for w in sorted(by_source):
-            sums: dict[int, F2Matrix] = {}
-            for r, first in by_source[w]:
-                for s, second in by_source.get(w + r, ()):
-                    prod = matmul(second, first)
-                    t = w + r + s
-                    sums[t] = sums[t] + prod if t in sums else prod
-            failing = [(self.low_index(t), p.words) for t, p in sums.items() if not p.is_zero()]
-            if failing:
-                used = np.bitwise_or.reduce([np.bitwise_or.reduce(p, axis=0) for _, p in failing])
-                j = int(_set_bits(used, used.size, np.flatnonzero(used)[:1])[1][0])
+            for key in [key for key in parts if key[1] < w]:
+                del parts[key]
+            for t in [t for t in gradings if t < w]:
+                del gradings[t]
+            _, src, _ = grading(w)
+            lowest = None  # (generator, grade, failing products by target weight, column)
+            for v, members in src.groups():
+                sums: dict[int, F2Matrix] = {}
+                for r in by_source[w]:
+                    first = cut((r, w)).get(v)
+                    if first is None:
+                        continue
+                    for s in by_source.get(w + r, ()):
+                        second = cut((s, w + r)).get(v)
+                        if second is None:
+                            continue
+                        prod = matmul(second, first)
+                        t = w + r + s
+                        sums[t] = sums[t] + prod if t in sums else prod
+                failing = {t: p.words for t, p in sums.items() if not p.is_zero()}
+                if failing:
+                    used = np.bitwise_or.reduce([np.bitwise_or.reduce(p, axis=0) for p in failing.values()])
+                    j = int(_set_bits(used, used.size, np.flatnonzero(used)[:1])[1][0])
+                    g = self.low_index(w) + int(members[j])
+                    if lowest is None or g < lowest[0]:
+                        lowest = g, v, failing, j
+            if lowest is not None:
+                g, v, failing, j = lowest
                 # the target blocks are disjoint, so adding their columns is a union
-                image = sum(1 << (lo + int(i)) for lo, p in failing for i in np.flatnonzero(_column_bits(p, j)))
-                return DSquaredReport(False, witness=self.low_index(w) + j, image=image)
+                image = 0
+                for t, p in failing.items():
+                    targets = self.low_index(t) + grading(t)[1].members(v)
+                    image |= sum(1 << int(targets[i]) for i in np.flatnonzero(_column_bits(p, j)))
+                return DSquaredReport(False, witness=g, image=image)
         return DSquaredReport(True)
+
+
+class _Grading:
+    """Indices 0..n-1 grouped by a grade g, or all in one grade 0 when g is None.
+
+    values are the distinct grades ascending, and order the indices sorted
+    stably by grade, so those of values[k] are order[bounds[k]:bounds[k + 1]],
+    ascending.
+    """
+
+    __slots__ = ("values", "bounds", "order")
+
+    def __init__(self, g: np.ndarray | None, n: int):
+        if g is None:
+            self.values, self.bounds, self.order = [0], np.array([0, n]), np.arange(n)
+            return
+        self.order = np.argsort(g, kind="stable")
+        s = g[self.order]
+        starts = np.flatnonzero(np.diff(s, prepend=s[:1] - 1))
+        self.values, self.bounds = s[starts].tolist(), np.append(starts, n)
+
+    def groups(self):
+        """(grade, its indices) for every grade, lowest first."""
+        for k, v in enumerate(self.values):
+            yield v, self.order[self.bounds[k] : self.bounds[k + 1]]
+
+    def members(self, v: int) -> np.ndarray:
+        k = self.values.index(v)
+        return self.order[self.bounds[k] : self.bounds[k + 1]]
+
+    def positions(self) -> np.ndarray:
+        """Each index's position among the indices of its grade."""
+        if len(self.values) <= 1:  # order is then 0..n-1 itself
+            return self.order
+        pos = np.empty(self.order.size, dtype=np.int64)
+        pos[self.order] = np.arange(self.order.size) - np.repeat(self.bounds[:-1], np.diff(self.bounds))
+        return pos
 
 
 @dataclass(frozen=True)
@@ -190,7 +303,7 @@ class HigherMapError(ValueError):
         self.image = image
 
 
-def load_higher_maps(fc: FilteredComplex, table: dict[tuple[int, int], F2Matrix]) -> FilteredComplex:
+def load_higher_maps(fc: FilteredComplex, table: dict[tuple[int, int], F2Coo | F2Matrix]) -> FilteredComplex:
     """Adjoin externally supplied strictly-weight-raising blocks.
 
     table is keyed like ``FilteredComplex.blocks``.  Shifts must be >= 2
@@ -206,7 +319,7 @@ def load_higher_maps(fc: FilteredComplex, table: dict[tuple[int, int], F2Matrix]
             raise ValueError(f"higher map shift must be an integer >= 2, got {r!r}")
     merged = dict(fc.blocks)
     for key, mat in table.items():
-        merged[key] = merged[key] + mat if key in merged else mat
+        merged[key] = merged[key] + _coo(mat) if key in merged else mat
     augmented = FilteredComplex(fc.weights, merged, fc.q, fc.mark)
     report = verify_d_squared(augmented)
     if not report.ok:
@@ -282,15 +395,14 @@ def _d1_ranks(fc: FilteredComplex) -> dict[int, int]:
     kernel of the (1, w) one: at the top weight it must vanish.
     """
     if fc.mark is None:
-        return {w: rank(fc.blocks[(1, w)]) if (1, w) in fc.blocks else 0 for w in fc.weight_values}
+        return {w: rank(fc.blocks[(1, w)].to_matrix()) if (1, w) in fc.blocks else 0 for w in fc.weight_values}
     ranks, reduced = {}, {}
     for w in fc.weight_values:
         (lo, hi), (t_lo, t_hi) = fc.block_range(w), fc.block_range(w + 1)
         src, tgt = fc.mark[lo:hi], fc.mark[t_lo:t_hi]
         reduced[w] = 0
         if (1, w) in fc.blocks:
-            words = fc.blocks[(1, w)].words
-            rows, cols = _set_bits(words.reshape(-1), words.shape[1], np.flatnonzero(words))
+            rows, cols = fc.blocks[(1, w)].ri, fc.blocks[(1, w)].ci  # row-major
             inside = src[cols]
             q_src, q_tgt = fc.q[lo:hi], fc.q[t_lo:t_hi]
             # an entry of C~ that leaves it or moves q would be missed by the sub-blocks below
@@ -301,11 +413,11 @@ def _d1_ranks(fc: FilteredComplex) -> dict[int, int]:
                 where = f"from q {fc.q[g]} to q {fc.q[t]}" if tgt[rows[e]] else "out of the marked subcomplex"
                 raise ConsistencyError(f"the differential takes marked generator {g} {where}, to generator {t}")
             rows, cols = rows[inside], cols[inside]
-            for qv in np.unique(q_src[cols]):
-                src_q, tgt_q, sel = src & (q_src == qv), tgt & (q_tgt == qv), q_src[cols] == qv
-                # each marked generator's position among those of its q, in generator order
-                ri, ci = (np.cumsum(tgt_q) - 1)[rows[sel]], (np.cumsum(src_q) - 1)[cols[sel]]
-                reduced[w] += rank(F2Matrix.from_coo(int(tgt_q.sum()), int(src_q.sum()), ri, ci))
+            # each marked generator's position among the marked ones of its q, in generator order
+            (by_src, pos), (by_tgt, t_pos) = _marked_positions(q_src, src), _marked_positions(q_tgt, tgt)
+            for qv, e in _Grading(q_src[cols], cols.size).groups():
+                sub = F2Matrix.from_coo(by_tgt.members(qv).size, by_src.members(qv).size, t_pos[rows[e]], pos[cols[e]])
+                reduced[w] += rank(sub)
         below = ranks.get(w - 1, 0)
         e2 = 2 * (int(np.count_nonzero(src)) - reduced[w] - reduced.get(w - 1, 0))
         rk = ranks[w] = hi - lo - e2 - below
@@ -313,6 +425,15 @@ def _d1_ranks(fc: FilteredComplex) -> dict[int, int]:
         if not 0 <= rk <= bound:
             raise ConsistencyError(f"derived d_1 rank {rk} at weight {w} is outside [0, {bound}]")
     return ranks
+
+
+def _marked_positions(q: np.ndarray, mark: np.ndarray) -> tuple[_Grading, np.ndarray]:
+    """The marked generators grouped by q, and each one's position among the marked ones of its q."""
+    marked = np.flatnonzero(mark)
+    by_q = _Grading(q[marked], marked.size)
+    pos = np.zeros(mark.size, dtype=np.int64)
+    pos[marked] = by_q.positions()
+    return by_q, pos
 
 
 def _cycle_dims(fc: FilteredComplex) -> Callable[[int, int], int]:

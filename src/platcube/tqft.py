@@ -7,8 +7,8 @@ assigning 1 or X to each circle.  A merge edge acts by multiplication
 on its two active circles, a split edge by comultiplication, and both
 act as the identity on every spectator circle.  ``_edge_columns`` writes
 these rules into the sparse columns of each edge block.  Those columns
-depend only on the edge's shape, so they are tabulated once per shape
-and assembly.
+depend only on the edge's shape, so they are tabulated once per shape,
+in a memo that lives for one assembly.
 
 Basis order: circles in ascending label order, the first circle most
 significant, and 1 before X in each factor.  So index 0 is all-1s and
@@ -16,9 +16,10 @@ for two circles the order is 1(x)1, 1(x)X, X(x)1, X(x)X.
 
 Generators of the total complex are grouped by vertex, vertices sorted
 by (weight, bitstring-as-integer).  The differential raises weight by
-exactly one and is stored as one block per source weight, gathered
-straight from the shape tables of the edges out of that weight.  It
-preserves Khovanov's q = #1 - #X + weight.
+exactly one and is stored as one block per source weight, the block's
+entries (an ``F2Coo``) gathered straight from the shape tables of the
+edges out of that weight; assembly builds no dense matrix.  It preserves
+Khovanov's q = #1 - #X + weight.
 
 Circle 0 holds segment 0, so every vertex has it, as its first circle:
 it is the top bit of every local index.  The generators whose circle 0
@@ -45,7 +46,7 @@ import numpy as np
 
 from . import specseq
 from .cube import MAX_BLOCK_BYTES, ConsistencyError, Merge, ResolutionCube, Split, _assembly_bytes
-from .f2linalg import F2Matrix
+from .f2linalg import F2Coo
 from .specseq import FilteredComplex
 
 __all__ = [
@@ -90,23 +91,23 @@ class _ColumnMap:
         return ri, ci
 
 
-def _edge_columns(space_i: VertexSpace, space_j: VertexSpace, cob: Merge | Split) -> _ColumnMap:
-    """The sparse columns of one edge block: the read-only table of its shape."""
+def _edge_columns(space_i: VertexSpace, space_j: VertexSpace, cob: Merge | Split, shape_columns=None) -> _ColumnMap:
+    """The sparse columns of one edge block: the read-only table of its shape,
+    from shape_columns, an assembly's memo of ``_shape_columns``, when given."""
     merge = isinstance(cob, Merge)
     active_in, active_out = (cob.sources, (cob.target,)) if merge else ((cob.source,), cob.targets)
     bits_in, bits_out = tuple(map(space_i.bit_of, active_in)), tuple(map(space_j.bit_of, active_out))
-    return _shape_columns(merge, len(space_i.circles), bits_in, bits_out)
+    return (shape_columns or _shape_columns)(merge, len(space_i.circles), bits_in, bits_out)
 
 
-@cache
 def _shape_columns(merge: bool, count: int, bits_in: tuple[int, ...], bits_out: tuple[int, ...]) -> _ColumnMap:
     """Columns of every edge of one shape: a merge or a split out of count
     circles, whose active circles sit at bits_in of the source index and at
     bits_out of the target index.  Circles are in ascending label order, so
     the spectators keep their relative order and fill the other bits in turn.
 
-    ``_weight_blocks`` clears the cache when it returns, so a table lives for
-    one assembly; its arrays are read-only, since every edge of the shape
+    ``_weight_blocks`` memoizes it for one assembly, so a table lives as long
+    as that assembly; its arrays are read-only, since every edge of the shape
     shares them.
     """
     count_out = count - 1 if merge else count + 1
@@ -165,7 +166,7 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
     masks of E entries while it makes the COO (1.5 E entries, as only a
     split's column with 1 on the split circle has two, a row and a column
     index each) and one copy of an index; later the COO and the three copies
-    the q test and ``F2Matrix.from_coo`` make of an index (7.5 E).  Sizes
+    the q test and ``F2Coo`` make of an index (7.5 E).  Sizes
     come from the circle counts alone, so nothing is allocated.
     """
     size = Counter()  # generators per weight
@@ -187,20 +188,19 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
 
 
 def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, int] | None]:
-    """The (1, w) blocks and the (source, target) generators of the first
-    entry moving q.  The edges' tables are laid end to end, and each block's
-    entries are gathered straight from them, one source weight at a time."""
+    """The (1, w) blocks, as their entries, and the (source, target)
+    generators of the first entry moving q.  The edges' tables are laid end
+    to end, and each block's entries are gathered straight from them, one
+    source weight at a time."""
     tables, index, edges = [], {}, []  # distinct tables; id -> position; axis, weight, starts and table per edge
-    try:
-        for (i_vertex, j_vertex), cob in cube.edges.items():
-            cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cob)
-            if id(cmap) not in index:
-                index[id(cmap)] = len(tables)
-                tables.append(cmap)
-            axis = (i_vertex ^ j_vertex).bit_length() - 1
-            edges += axis, cube.weight(i_vertex), start[i_vertex], start[j_vertex], index[id(cmap)]
-    finally:
-        _shape_columns.cache_clear()
+    shape_columns = cache(_shape_columns)  # this assembly's tables, one per shape
+    for (i_vertex, j_vertex), cob in cube.edges.items():
+        cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cob, shape_columns)
+        if id(cmap) not in index:
+            index[id(cmap)] = len(tables)
+            tables.append(cmap)
+        axis = (i_vertex ^ j_vertex).bit_length() - 1
+        edges += axis, cube.weight(i_vertex), start[i_vertex], start[j_vertex], index[id(cmap)]
     blocks, moved = {}, None
     if not tables:
         return blocks, moved
@@ -227,7 +227,7 @@ def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, 
         if bad.size and moved is None:
             e = bad[np.argmin(ci[bad])]
             moved = (lo + int(ci[e]), int(ri[e]))
-        blocks[(1, w)] = F2Matrix.from_coo(size[w + 1], size[w], ri - t_lo, ci)
+        blocks[(1, w)] = F2Coo(size[w + 1], size[w], ri - t_lo, ci)
     return blocks, moved
 
 

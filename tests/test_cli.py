@@ -391,6 +391,10 @@ def test_higher_maps_d2_failure_dumps_witness(tmp_path, capsys):
         ("2 00", "ended early"),
         ("2 000 11", "binary digits"),
         ("x 00 11", "bad shift token"),
+        # shifts int() would read as 2, 2 and 10: only ASCII digits are a shift
+        ("\u0662 00 11" + " 0000" * 4, "bad shift token '\u0662'"),
+        ("+2 00 11" + " 0000" * 4, "bad shift token '+2'"),
+        ("1_0 00 11" + " 0000" * 4, "bad shift token '1_0'"),
         ("3 00 11" + " 0000" * 8, "shifts weight by 2, not 3"),
         ("2 00 11 0000", "ended early"),
         ("2 00 11 00001" + " 0000" * 7, "binary digits"),
@@ -458,7 +462,7 @@ def test_table_blocks_match_per_character_oracle(monkeypatch):
             want = naive_table_blocks(table, layout)
             assert blocks.keys() == want.keys(), item.name
             for key, block in blocks.items():
-                assert np.array_equal(block.to_dense(), want[key]), (item.name, key)
+                assert np.array_equal(block.to_matrix().to_dense(), want[key]), (item.name, key)
 
 
 def _vertex_table(strands, word):

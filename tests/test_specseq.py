@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from platcube import specseq
 from platcube.cube import ConsistencyError, braid_to_twists, build_cube
-from platcube.f2linalg import F2Matrix, matmul, rank
+from platcube.f2linalg import F2Coo, F2Matrix, matmul, rank
 from platcube.specseq import (
     FilteredComplex,
     HigherMapError,
@@ -162,8 +162,8 @@ def test_verify_d_squared_sums_products_per_target():
         d[target, source] = 1
     fc = fc_from_dense(weights, d)
     one = F2Matrix.from_dense([[1], [0]])  # generator 0 to 6, not to 7
-    assert matmul(fc.blocks[(2, 1)], fc.blocks[(1, 0)]) == one
-    assert matmul(fc.blocks[(1, 2)], fc.blocks[(2, 0)]) == one
+    assert matmul(fc.blocks[(2, 1)].to_matrix(), fc.blocks[(1, 0)].to_matrix()) == one
+    assert matmul(fc.blocks[(1, 2)].to_matrix(), fc.blocks[(2, 0)].to_matrix()) == one
     sq = dense_matmul(d, d)
     assert list(np.flatnonzero(sq.any(axis=0))) == [2, 5]
     report = verify_d_squared(fc)
@@ -210,6 +210,62 @@ def test_witness_matches_dense_oracle(data):
         assert report.image == sum(1 << int(i) for i in np.flatnonzero(sq[:, failing[0]]))
     else:
         assert report.witness is None and report.image is None
+
+
+# cubes whose widest block has 120 to 1,792 source columns, more than one word
+WIDE_CUBES = [
+    (4, "s2 s2 s1^-1 s2 s2 s1^-1"),
+    (6, "s1 s3 s5 s2 s4"),
+    (6, "s2 s4 s3 s1 s5 s3"),
+    (4, "s2 s2 s2 s2 s2 s2 s2"),
+    (4, "s2 s2 s2 s2 s2 s2 s2 s2"),
+]
+
+
+@pytest.mark.parametrize("strands,word", WIDE_CUBES)
+def test_graded_witness_matches_dense_oracle(strands, word):
+    """verify_d_squared against the dense products of whole (1, w) blocks on
+    cubes wide enough to square one q-grade at a time.  One to three entries
+    are flipped: all keeping q, so D∘D stays graded and the lowest failing
+    generator may sit in any grade, or one moving q, so it falls back to one
+    grade.  The oracle knows nothing of q: float32 products are exact here,
+    as each entry of D∘D counts a handful of paths."""
+    fc = filtered_of(word, strands)
+    assert max(blk.cols for blk in fc.blocks.values()) > 64 and fc._graded_by_q()
+    dense = {w: blk.to_matrix().to_dense().astype(np.float32) for (_, w), blk in fc.blocks.items()}
+    rng = np.random.default_rng(strands * 100 + len(word))
+    keys = sorted(fc.blocks)
+    seen = Counter()
+    for trial in range(12):
+        move = trial % 4 == 3
+        blocks = dict(dense)
+        for _ in range(1 if move else rng.integers(1, 4)):
+            targets = ()
+            while not len(targets):
+                _, w = keys[rng.integers(len(keys))]
+                (lo, hi), (t_lo, t_hi) = fc.block_range(w), fc.block_range(w + 1)
+                g = rng.integers(lo, hi)
+                targets = np.flatnonzero((fc.q[t_lo:t_hi] != fc.q[g]) == move)
+            t = rng.choice(targets)
+            blocks[w] = blocks[w].copy()
+            blocks[w][t, g - lo] = 1 - blocks[w][t, g - lo]
+        tampered = FilteredComplex(
+            fc.weights, {(1, w): F2Matrix.from_dense(b.astype(np.uint8)) for w, b in blocks.items()}, fc.q, fc.mark
+        )
+        assert tampered._graded_by_q() == (not move)
+        report = verify_d_squared(tampered)
+        witness = image = None
+        for w in sorted(blocks):
+            if w + 1 in blocks:
+                sq = (blocks[w + 1] @ blocks[w]) % 2
+                failing = np.flatnonzero(sq.any(axis=0))
+                if failing.size:
+                    witness = fc.low_index(w) + int(failing[0])
+                    image = sum(1 << (fc.low_index(w + 2) + int(i)) for i in np.flatnonzero(sq[:, failing[0]]))
+                    break
+        assert (report.ok, report.witness, report.image) == (witness is None, witness, image), trial
+        seen[move, report.ok] += 1
+    assert seen[True, False] and seen[False, False], seen
 
 
 # -- higher-map loading -----------------------------------------------
@@ -308,7 +364,7 @@ def test_conjugated_injection_preserves_low_pages():
     dense = fc.differential.to_dense()
     conj = conjugate_dense(list(fc.weights), dense, rng, min_shift=2)
     parts = blocks_from_dense(fc.weights, conj)
-    assert {key: parts.pop(key) for key in fc.blocks} == fc.blocks  # d_1 itself is unchanged
+    assert {key: F2Coo.from_matrix(parts.pop(key)) for key in fc.blocks} == fc.blocks  # d_1 itself is unchanged
     assert all(r == 1 for r, _ in fc.blocks) and all(r >= 2 for r, _ in parts)
     table = parts
     if not table:

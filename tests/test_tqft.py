@@ -3,6 +3,7 @@
 import random
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -183,21 +184,25 @@ def test_shape_tables_built_once(monkeypatch):
         active_i, active_j = (cob.sources, (cob.target,)) if isinstance(cob, Merge) else ((cob.source,), cob.targets)
         shapes.add((type(cob), len(ci), tuple(map(ci.index, active_i)), tuple(map(cj.index, active_j))))
     original = tqft._edge_columns
-    infos = []
+    infos, memos = [], set()
 
-    def spy(space_i, space_j, cob):
-        cm = original(space_i, space_j, cob)
+    def spy(space_i, space_j, cob, shape_columns):
+        cm = original(space_i, space_j, cob, shape_columns)
         assert not any(arr.flags.writeable for arr in (cm.out_a, cm.out_b, cm.terms))
-        infos.append(tqft._shape_columns.cache_info())
+        infos.append(shape_columns.cache_info())
+        memos.add(weakref.ref(shape_columns))
         return cm
 
-    tqft._shape_columns.cache_clear()  # tables other tests built outside an assembly
     monkeypatch.setattr(tqft, "_edge_columns", spy)
     assemble_complex(cube)
     built = infos[-1]
     assert len(infos) == len(cube.edges) == built.hits + built.misses
     assert built.misses == built.currsize == len(shapes) < len(cube.edges)
-    assert tqft._shape_columns.cache_info().currsize == 0
+    # one memo, gone with its assembly; outside one, nothing is kept
+    assert len(memos) == 1 and memos.pop()() is None
+    (i, j), cob = next(iter(cube.edges.items()))
+    spaces = VertexSpace(cube.vertices[i].circles), VertexSpace(cube.vertices[j].circles)
+    assert original(*spaces, cob) is not original(*spaces, cob)
 
 
 def test_spectators_tensor_factor():
@@ -242,7 +247,7 @@ def test_assembled_blocks_match_dense_oracle():
         for (_, w), blk in fc.blocks.items():
             ref = od[np.ix_(np.flatnonzero(w_arr == w + 1), np.flatnonzero(w_arr == w))]
             assert blk.shape == ref.shape
-            assert rank(blk) == dense_rank(ref)
+            assert rank(blk.to_matrix()) == dense_rank(ref)
 
 
 def test_d_squared_zero():
@@ -275,8 +280,8 @@ def test_face_check_catches_corruption(monkeypatch):
     original = tqft._edge_columns
     state = {"hit": False}
 
-    def tampered(space_i, space_j, cob):
-        cm = original(space_i, space_j, cob)
+    def tampered(space_i, space_j, cob, *memo):
+        cm = original(space_i, space_j, cob, *memo)
         if not state["hit"] and space_i.dim >= 2:
             state["hit"] = True
             out_a = cm.out_a.copy()
@@ -304,8 +309,8 @@ def test_face_check_matches_naive_oracle(monkeypatch):
         maps = {}
         moved = {}
 
-        def tampered(space_i, space_j, cob):
-            cm = original(space_i, space_j, cob)
+        def tampered(space_i, space_j, cob, *memo):
+            cm = original(space_i, space_j, cob, *memo)
             if cob is target:
                 col = rng.randrange(cm.dim_in)
                 out_a = cm.out_a.copy()
@@ -347,8 +352,8 @@ def test_q_check_catches_shifted_entry(monkeypatch):
     original = tqft._edge_columns
     state = {"hit": False}
 
-    def shifted(space_i, space_j, cob):
-        cm = original(space_i, space_j, cob)
+    def shifted(space_i, space_j, cob, *memo):
+        cm = original(space_i, space_j, cob, *memo)
         if not state["hit"]:
             state["hit"] = True
             col = int(np.flatnonzero(cm.terms >= 1)[-1])
@@ -404,7 +409,7 @@ def test_q_block_ranks_match_dense(data):
     dense = fc.differential.to_dense()
     for w in fc.weight_values:
         blk = fc.blocks.get((1, w))
-        assert pages.page(1).d_ranks[w] == (dense_rank(blk.to_dense()) if blk is not None else 0)
+        assert pages.page(1).d_ranks[w] == (dense_rank(blk.to_matrix().to_dense()) if blk is not None else 0)
     assert pages.dims(2) == graded_homology(fc.weights, dense)
     with pytest.raises(ValueError, match="q grades"):
         FilteredComplex(fc.weights, fc.blocks, fc.q[:-1])
@@ -425,8 +430,8 @@ def test_reduced_ranks_are_checked(monkeypatch):
     original = tqft._edge_columns
     state = {"hit": False}
 
-    def leaving(space_i, space_j, cob):
-        cm = original(space_i, space_j, cob)
+    def leaving(space_i, space_j, cob, *memo):
+        cm = original(space_i, space_j, cob, *memo)
         top = space_j.dim >> 1  # circle 0's bit in the target
         low = ~cm.out_a & (cm.out_a + 1)  # the last circle carrying 1
         cols = np.flatnonzero((cm.terms >= 1) & (np.arange(cm.dim_in) >= space_i.dim >> 1) & (low < top))
@@ -546,23 +551,59 @@ def test_guard_bounds_measured_peak():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        kept = sum(m.words.nbytes for m in fc.blocks.values())
+        kept = sum(m.ri.nbytes + m.ci.nbytes for m in fc.blocks.values())
         # 64 KiB for the per-vertex dicts and lists
         assert peak - kept <= 8 * n * (4 + 13 * cube.n) + (64 << 10), (word, strands)
 
 
 def test_cube_is_squared_once(monkeypatch):
-    """Assembly squares D once, and compute_pages reads that square."""
+    """Assembly squares D once, and compute_pages reads that square.  A cube
+    whose widest block is more than one word wide is squared one q-grade at
+    a time: one product per pair of consecutive blocks and grade that both
+    have entries in.  A narrower one is squared in one grade."""
     calls = []
     original = specseq.matmul
     monkeypatch.setattr(specseq, "matmul", lambda a, b: calls.append(1) or original(a, b))
-    cc = assemble_complex(cube_of("s2 s2 s1^-1 s2", 4))
-    fc = cc.to_filtered()
-    assert cc.to_filtered() is fc
-    products = sum((1, w + 1) in fc.blocks for _, w in fc.blocks)  # one per pair of consecutive blocks
-    assert products and len(calls) == products
-    compute_pages(fc)
-    assert len(calls) == products
+    for word, graded in (("s2 s2 s1^-1 s2", False), ("s2 s2 s1^-1 s2 s2 s1^-1", True)):
+        calls.clear()
+        cc = assemble_complex(cube_of(word, 4))
+        fc = cc.to_filtered()
+        assert cc.to_filtered() is fc
+        assert (max(blk.cols for blk in fc.blocks.values()) > 64) == graded == fc._graded_by_q()
+
+        def grades(w):  # the grades of the (1, w) block's entries
+            return set(fc.q[fc.low_index(w) + fc.blocks[(1, w)].ci].tolist()) if graded else {0}
+
+        products = sum(len(grades(w) & grades(w + 1)) for _, w in fc.blocks if (1, w + 1) in fc.blocks)
+        assert products and len(calls) == products
+        compute_pages(fc)
+        assert len(calls) == products
+
+
+def test_no_dense_weight_block_is_built(monkeypatch):
+    """On 4-strand s2^9 no dense matrix that assembly and the pages build is
+    as large as the widest (1, w) block, and the traced peak stays under the
+    8.1 MiB that the dense (1, w) blocks would hold on their own."""
+    cube = cube_of(" ".join(["s2"] * 9), 4)
+    sizes = []
+    original = F2Matrix.from_coo.__func__
+
+    def recording(cls, rows, cols, ri, ci):
+        sizes.append(rows * -(-cols // 64))
+        return original(cls, rows, cols, ri, ci)
+
+    monkeypatch.setattr(F2Matrix, "from_coo", classmethod(recording))
+    tracemalloc.start()
+    try:
+        fc = assemble_complex(cube).to_filtered()
+        total = compute_pages(fc).total(2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    words = [blk.rows * -(-blk.cols // 64) for blk in fc.blocks.values()]
+    assert total == 18
+    assert sizes and max(sizes) < max(words)
+    assert peak < 8 * sum(words) == 8_507_664
 
 
 def test_face_named_at_lowest_failing_generator(monkeypatch):
@@ -575,8 +616,8 @@ def test_face_named_at_lowest_failing_generator(monkeypatch):
     original = tqft._edge_columns
     maps = {}
 
-    def tampered(space_i, space_j, cob):
-        cm = original(space_i, space_j, cob)
+    def tampered(space_i, space_j, cob, *memo):
+        cm = original(space_i, space_j, cob, *memo)
         if any(cob is t for t in targets):
             cm = tqft._ColumnMap(cm.dim_in, cm.dim_out, (cm.out_a + 1) % cm.dim_out, cm.out_b, cm.terms)
         maps[id(cob)] = cm
