@@ -58,11 +58,12 @@ CUPCAP = "cupcap"
 # is then far past what the block ranks reduce, so longer words are refused at once.
 MAX_TWISTS = 16
 
-# assemble_complex stores each (1, w) block of the differential densely, one
-# bit per entry.  4-strand s2^11, the largest corpus complex, needs 213 MiB for
-# its largest block, s2^12 1.7 GiB, and one twist on 32 strands 1 GiB: a block
-# above this limit is refused before anything is allocated, and so are the
-# int64 arrays that assembly holds at once, counted per generator and cube axis.
+# A (1, w) block of the differential held densely, one bit per entry, would need
+# 213 MiB for the largest of 4-strand s2^11, 1.7 GiB at s2^12 and 1 GiB for one
+# twist on 32 strands.  No run makes one dense any more, so refusing such a block
+# over-counts (ROADMAP.md: assembly in bounded pieces).  The int64 arrays that
+# assembly holds at once, counted per generator and cube axis, are refused above
+# this limit too, all before anything is allocated.
 MAX_BLOCK_BYTES = 512 << 20
 
 

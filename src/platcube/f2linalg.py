@@ -157,11 +157,6 @@ class F2Coo:
         self.ri = (key // cols).astype(np.int32)  # no entry, so no division, when cols is 0
         self.ci = (key % cols).astype(np.int32)
 
-    @classmethod
-    def from_matrix(cls, m: F2Matrix) -> "F2Coo":
-        words = m.words.reshape(-1)
-        return cls(m.rows, m.cols, *_set_bits(words, m.words.shape[1], np.flatnonzero(words)))
-
     def to_matrix(self) -> F2Matrix:
         return F2Matrix.from_coo(self.rows, self.cols, self.ri, self.ci)
 

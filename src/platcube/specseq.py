@@ -21,8 +21,9 @@ D is stored as one block per shift r >= 1 and source weight w, each as
 its entries (``F2Coo``); dense matrices are built only for the parts that
 ``d∘d``, a rank or a window needs.  When q is given, every entry keeps it
 and some block is wider than one 64-bit word, D∘D goes one q-grade at a
-time, as Bar-Natan computes Khovanov homology one q-degree at a time
-(arXiv:math/0201043).
+time across all weights, as Bar-Natan computes Khovanov homology one
+q-degree at a time (arXiv:math/0201043), so only one grade's dense parts
+are held at once.
 
 z_1^w is the number m_w of weight-w generators, and z_2^w = m_w - rk_w,
 where rk_w is the rank of the (1, w) block.  A pure weight-1
@@ -70,17 +71,13 @@ __all__ = [
 ]
 
 
-def _coo(mat: F2Coo | F2Matrix) -> F2Coo:
-    return F2Coo.from_matrix(mat) if isinstance(mat, F2Matrix) else mat
-
-
 @dataclass(frozen=True, eq=False)
 class FilteredComplex:
     """Weight-filtered complex: sorted generator weights + blocks of D.
 
     blocks maps (r, w), a shift r >= 1 and a source weight w, to the
     block of D from the weight-w generators to the weight-(w + r) ones, as
-    an ``F2Coo`` (a block given as an ``F2Matrix`` is converted once).
+    an ``F2Coo``.
     Rows index targets, columns sources, each in generator order.
     q, when given, is a second grading of the generators that every
     (1, w) block preserves (the cube's quantum grading).  mark, when
@@ -98,15 +95,14 @@ class FilteredComplex:
         object.__setattr__(self, "weights", tuple(map(int, self.weights)))
         if any(map(gt, self.weights, self.weights[1:])):
             raise ValueError("generator weights must be sorted ascending")
-        blocks = {}
-        for (r, w), mat in self.blocks.items():
+        for (r, w), blk in self.blocks.items():
             if not isinstance(r, int) or not isinstance(w, int) or r < 1:
                 raise ValueError(f"block key {(r, w)!r} must be integers (shift >= 1, source weight)")
+            if not isinstance(blk, F2Coo):
+                raise TypeError(f"block {(r, w)} must be an F2Coo, not {type(blk).__name__}")
             (lo, hi), (t_lo, t_hi) = self.block_range(w), self.block_range(w + r)
-            if mat.shape != (t_hi - t_lo, hi - lo):
-                raise ValueError(f"block {(r, w)} has shape {mat.shape}, expected {(t_hi - t_lo, hi - lo)}")
-            blocks[(r, w)] = _coo(mat)
-        object.__setattr__(self, "blocks", blocks)
+            if blk.shape != (t_hi - t_lo, hi - lo):
+                raise ValueError(f"block {(r, w)} has shape {blk.shape}, expected {(t_hi - t_lo, hi - lo)}")
         if self.q is not None and len(self.q) != self.n:
             raise ValueError(f"q grades {len(self.q)} generators, not {self.n}")
         if self.mark is not None and (self.q is None or len(self.mark) != self.n):
@@ -162,84 +158,67 @@ class FilteredComplex:
 
     @cached_property
     def _d_squared(self) -> DSquaredReport:
-        """D∘D one source weight at a time, lowest first, and one grade at a time.
+        """D∘D one grade at a time, lowest first, and in each grade one source
+        weight at a time, lowest first.
 
         The grade is q when ``_graded_by_q`` holds, else one grade for all.
-        Each block is cut into dense parts, one per grade, between the
-        generators of that grade, each indexed by its position among them.
-        Since D keeps the grade, so does D∘D, and for source weight w the
-        products B(s, w + r)·B(r, w) of each grade are summed per target
-        weight before the zero test.  Only the parts of the blocks out of
-        weights w and above that the products still need are held.  The
-        witness is the lowest failing generator over all grades: in each
-        grade the lowest bit of the OR of the failing products' rows.  The
-        image is its whole column of D∘D, read from one word column of each
-        product of its grade and mapped back to generators.
+        Each weight's generators and each block's entries are grouped by grade
+        once.  For one grade, every block is cut once into its dense part
+        between the generators of that grade, each indexed by its position
+        among them.  Since D keeps the grade, so does D∘D, and for source
+        weight w the products B(s, w + r)·B(r, w) of the parts are summed per
+        target weight before the zero test.  A grade's parts are freed before
+        the next grade's are cut.  In a grade, the lowest failing generator is
+        the lowest bit of the OR of the failing products' rows at its lowest
+        failing weight; the witness is the lowest over all grades.  The image
+        is its whole column of D∘D, read from one word column of each product
+        of its grade and mapped back to generators.
         """
+        graded = self._graded_by_q()
         by_source: dict[int, list[int]] = {}
         for r, w in self.blocks:
             by_source.setdefault(w, []).append(r)
-        graded = self._graded_by_q()
-        gradings: dict[int, tuple[np.ndarray, _Grading, np.ndarray]] = {}
-        parts: dict[tuple[int, int], dict[int, F2Matrix]] = {}
+        by_weight = {}  # weight -> its generators grouped by grade, and each one's position in its grade
+        for w in {w + d for r, w in self.blocks for d in (0, r)}:
+            lo, hi = self.block_range(w)
+            by = _Grading(self.q[lo:hi] if graded else None, hi - lo)
+            by_weight[w] = by, by.positions()
+        entries = {  # block key -> {grade: indices of its entries in that grade}
+            (r, w): dict(_Grading(self.q[self.low_index(w) + blk.ci] if graded else None, blk.nnz).groups())
+            for (r, w), blk in self.blocks.items()
+        }
 
-        def grading(w: int) -> tuple[np.ndarray, _Grading, np.ndarray]:
-            """The weight-w generators' grades, grouped, and each one's position in its grade."""
-            if w not in gradings:
-                lo, hi = self.block_range(w)
-                g = self.q[lo:hi] if graded else None
-                by = _Grading(g, hi - lo)
-                gradings[w] = g, by, by.positions()
-            return gradings[w]
-
-        def cut(key: tuple[int, int]) -> dict[int, F2Matrix]:
-            """Block key's dense part in each grade that has an entry."""
-            if key not in parts:
-                (r, w), blk = key, self.blocks[key]
-                (g, src, pos), (_, tgt, t_pos) = grading(w), grading(w + r)
-                entries = _Grading(None if g is None else g[blk.ci], blk.nnz)
-                parts[key] = {
-                    v: F2Matrix.from_coo(tgt.members(v).size, src.members(v).size, t_pos[blk.ri[e]], pos[blk.ci[e]])
-                    for v, e in entries.groups()
-                }
-            return parts[key]
-
-        for w in sorted(by_source):
-            for key in [key for key in parts if key[1] < w]:
-                del parts[key]
-            for t in [t for t in gradings if t < w]:
-                del gradings[t]
-            _, src, _ = grading(w)
-            lowest = None  # (generator, grade, failing products by target weight, column)
-            for v, members in src.groups():
+        def lowest_failing(v: int) -> tuple[int, int] | None:
+            """The lowest failing generator of grade v and its image, if any."""
+            parts = {}
+            for (r, w), e in entries.items():
+                if v in e:
+                    blk, (src, pos), (tgt, t_pos) = self.blocks[(r, w)], by_weight[w], by_weight[w + r]
+                    rows, cols = tgt.members(v).size, src.members(v).size
+                    parts[(r, w)] = F2Matrix.from_coo(rows, cols, t_pos[blk.ri[e[v]]], pos[blk.ci[e[v]]])
+            for w in sorted(by_source):
                 sums: dict[int, F2Matrix] = {}
                 for r in by_source[w]:
-                    first = cut((r, w)).get(v)
-                    if first is None:
-                        continue
                     for s in by_source.get(w + r, ()):
-                        second = cut((s, w + r)).get(v)
-                        if second is None:
-                            continue
-                        prod = matmul(second, first)
-                        t = w + r + s
-                        sums[t] = sums[t] + prod if t in sums else prod
+                        if (r, w) in parts and (s, w + r) in parts:
+                            prod = matmul(parts[(s, w + r)], parts[(r, w)])
+                            t = w + r + s
+                            sums[t] = sums[t] + prod if t in sums else prod
                 failing = {t: p.words for t, p in sums.items() if not p.is_zero()}
                 if failing:
                     used = np.bitwise_or.reduce([np.bitwise_or.reduce(p, axis=0) for p in failing.values()])
                     j = int(_set_bits(used, used.size, np.flatnonzero(used)[:1])[1][0])
-                    g = self.low_index(w) + int(members[j])
-                    if lowest is None or g < lowest[0]:
-                        lowest = g, v, failing, j
-            if lowest is not None:
-                g, v, failing, j = lowest
-                # the target blocks are disjoint, so adding their columns is a union
-                image = 0
-                for t, p in failing.items():
-                    targets = self.low_index(t) + grading(t)[1].members(v)
-                    image |= sum(1 << int(targets[i]) for i in np.flatnonzero(_column_bits(p, j)))
-                return DSquaredReport(False, witness=g, image=image)
-        return DSquaredReport(True)
+                    # the target blocks are disjoint, so adding their columns is a union
+                    image = 0
+                    for t, p in failing.items():
+                        targets = self.low_index(t) + by_weight[t][0].members(v)
+                        image |= sum(1 << int(targets[i]) for i in np.flatnonzero(_column_bits(p, j)))
+                    return self.low_index(w) + int(by_weight[w][0].members(v)[j]), image
+            return None
+
+        failures = [f for f in map(lowest_failing, sorted(set().union(*entries.values()))) if f is not None]
+        witness, image = min(failures, default=(None, None))
+        return DSquaredReport(witness is None, witness=witness, image=image)
 
 
 class _Grading:
@@ -303,7 +282,7 @@ class HigherMapError(ValueError):
         self.image = image
 
 
-def load_higher_maps(fc: FilteredComplex, table: dict[tuple[int, int], F2Coo | F2Matrix]) -> FilteredComplex:
+def load_higher_maps(fc: FilteredComplex, table: dict[tuple[int, int], F2Coo]) -> FilteredComplex:
     """Adjoin externally supplied strictly-weight-raising blocks.
 
     table is keyed like ``FilteredComplex.blocks``.  Shifts must be >= 2
@@ -318,8 +297,8 @@ def load_higher_maps(fc: FilteredComplex, table: dict[tuple[int, int], F2Coo | F
         if not isinstance(r, int) or r < 2:
             raise ValueError(f"higher map shift must be an integer >= 2, got {r!r}")
     merged = dict(fc.blocks)
-    for key, mat in table.items():
-        merged[key] = merged[key] + _coo(mat) if key in merged else mat
+    for key, blk in table.items():
+        merged[key] = merged[key] + blk if key in merged else blk
     augmented = FilteredComplex(fc.weights, merged, fc.q, fc.mark)
     report = verify_d_squared(augmented)
     if not report.ok:

@@ -82,14 +82,6 @@ class _ColumnMap:
     out_b: np.ndarray
     terms: np.ndarray  # 1 or 2 valid outputs per column; 0 = killed
 
-    def coo(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rows, columns) of the entries."""
-        first = self.terms >= 1
-        second = self.terms >= 2
-        ri = np.concatenate([self.out_a[first], self.out_b[second]])
-        ci = np.concatenate([np.flatnonzero(first), np.flatnonzero(second)])
-        return ri, ci
-
 
 def _edge_columns(space_i: VertexSpace, space_j: VertexSpace, cob: Merge | Split, shape_columns=None) -> _ColumnMap:
     """The sparse columns of one edge block: the read-only table of its shape,
@@ -155,8 +147,9 @@ class ChainComplexF2:
 
 
 def _check_block_bytes(cube: ResolutionCube) -> None:
-    """Refuse a cube whose largest dense (1, w) block, or whose int64 arrays
-    held at once in assembly, exceed MAX_BLOCK_BYTES.
+    """Refuse a cube whose largest (1, w) block, sized as if dense (which
+    over-counts: no block is made dense any more), or whose int64 arrays held
+    at once in assembly, exceed MAX_BLOCK_BYTES.
 
     Assembly holds at most 4 int64 per generator (q, the mark and the index
     arithmetic that makes them, later q, the mark and the weights) and 13 per

@@ -48,6 +48,13 @@ def dense_matmul(a, b) -> np.ndarray:
     return (prod % 2).astype(np.uint8)
 
 
+def dense_coo(a) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """(rows, cols, row indices, column indices) of the set entries of a 0/1
+    matrix, row-major: the arguments of a sparse block."""
+    m = np.array(a, dtype=np.uint8) & 1
+    return (*m.shape, *np.nonzero(m))
+
+
 def dense_kernel(a) -> np.ndarray:
     """Rows span the right null space."""
     m = (np.array(a, dtype=np.uint8) & 1)
@@ -265,6 +272,16 @@ def naive_cube_complex(positions, signs, strands, cups, caps):
                         t |= val << b
                     d[offset[tgt] + t, offset[src] + s] ^= 1
     return weights, d
+
+
+def column_map_coo(cm) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, columns) of the entries of an edge block's sparse columns: each
+    column has out_a when it has at least one term, and out_b when two."""
+    first = cm.terms >= 1
+    second = cm.terms >= 2
+    ri = np.concatenate([cm.out_a[first], cm.out_b[second]])
+    ci = np.concatenate([np.flatnonzero(first), np.flatnonzero(second)])
+    return ri, ci
 
 
 def naive_face_check(n, edge_blocks):

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from platcube.cube import add_aux_unknot, braid_to_twists, build_cube
-from platcube.f2linalg import F2Matrix, kernel_basis, matmul, rank
+from platcube.f2linalg import F2Coo, F2Matrix, kernel_basis, matmul, rank
 from platcube.invariants import determinant
 from platcube.specseq import FilteredComplex, compute_pages
 from platcube.tangle import BraidWord, PlatClosure, mirror, parse_braid_word
@@ -20,6 +20,7 @@ from platcube.tqft import assemble_complex
 
 from oracles import (
     conjugate_dense,
+    dense_coo,
     dense_kernel,
     dense_matmul,
     dense_rank,
@@ -196,7 +197,7 @@ def test_acceptance_6_deformed_complexes(capsys):
         if not any(r == 2 for r, _ in parts):
             failures.append(f"complex {i}: conjugation produced no shift-2 block")
             continue
-        fc2 = FilteredComplex(weights, {key: F2Matrix.from_dense(p) for key, p in parts.items()})
+        fc2 = FilteredComplex(weights, {key: F2Coo(*dense_coo(p)) for key, p in parts.items()})
         pages = compute_pages(fc2)
         if pages.stabilization is None or pages.stabilization > length + 1:
             failures.append(f"complex {i}: stabilized at {pages.stabilization}, N+1 = {length + 1}")

@@ -25,6 +25,7 @@ from platcube.tqft import assemble_complex
 from oracles import (
     cancellation_pages,
     conjugate_dense,
+    dense_coo,
     dense_kernel,
     dense_matmul,
     dense_rank,
@@ -34,7 +35,7 @@ from oracles import (
 
 
 def blocks_from_dense(weights, dense):
-    return {key: F2Matrix.from_dense(b) for key, b in split_by_block(weights, dense).items()}
+    return {key: F2Coo(*dense_coo(b)) for key, b in split_by_block(weights, dense).items()}
 
 
 def fc_from_dense(weights, dense):
@@ -67,7 +68,10 @@ def test_weights_must_be_sorted():
 
 def test_component_shape_checked():
     with pytest.raises(ValueError):
-        FilteredComplex((0, 1), {(1, 0): F2Matrix.zeros(3, 3)})
+        FilteredComplex((0, 1), {(1, 0): F2Coo(3, 3, [], [])})
+    # blocks are taken only as their entries
+    with pytest.raises(TypeError, match=r"block \(1, 0\) must be an F2Coo, not F2Matrix"):
+        FilteredComplex((0, 1), {(1, 0): F2Matrix.zeros(1, 1)})
 
 
 def test_block_shape_and_key_checked():
@@ -86,23 +90,23 @@ def test_block_shape_and_key_checked():
     assert np.array_equal(fc.differential.to_dense(), d)
     # a block sized for the wrong weights is named in the error
     swapped = dict(blocks)
-    swapped[(1, 1)] = F2Matrix.zeros(40, 20)
+    swapped[(1, 1)] = F2Coo(40, 20, [], [])
     with pytest.raises(ValueError, match=r"block \(1, 1\) has shape \(40, 20\), expected \(20, 40\)"):
         FilteredComplex(weights, swapped)
     # one source column too many
     with pytest.raises(ValueError, match="expected"):
-        FilteredComplex(weights, {(2, 0): F2Matrix.zeros(20, 41)})
+        FilteredComplex(weights, {(2, 0): F2Coo(20, 41, [], [])})
     # a block into no generators must have no rows
-    FilteredComplex(weights, {(1, 2): F2Matrix.zeros(0, 20)})
+    FilteredComplex(weights, {(1, 2): F2Coo(0, 20, [], [])})
     with pytest.raises(ValueError):
-        FilteredComplex(weights, {(1, 2): F2Matrix.zeros(1, 20)})
+        FilteredComplex(weights, {(1, 2): F2Coo(1, 20, [], [])})
 
 
 def test_component_key_checked():
     # shifts below 1 and non-integer keys are refused
     for key in [(0, 0), (-1, 1), (1.0, 0), (1, "0")]:
         with pytest.raises(ValueError, match="block key"):
-            FilteredComplex((0, 1), {key: F2Matrix.zeros(1, 1)})
+            FilteredComplex((0, 1), {key: F2Coo(1, 1, [], [])})
 
 
 def test_block_lookup():
@@ -229,10 +233,55 @@ def test_graded_witness_matches_dense_oracle(strands, word):
     are flipped: all keeping q, so D∘D stays graded and the lowest failing
     generator may sit in any grade, or one moving q, so it falls back to one
     grade.  The oracle knows nothing of q: float32 products are exact here,
-    as each entry of D∘D counts a handful of paths."""
+    as each entry of D∘D counts a handful of paths.
+
+    A fixed input comes first: one flip in the top block, in the lowest grade
+    of its source weight, and one in the bottom block, in the highest grade
+    of its source weight, which is higher.  The lower grade fails only at
+    high weights, so the witness, at the bottom weight, comes from the later
+    grade."""
     fc = filtered_of(word, strands)
     assert max(blk.cols for blk in fc.blocks.values()) > 64 and fc._graded_by_q()
     dense = {w: blk.to_matrix().to_dense().astype(np.float32) for (_, w), blk in fc.blocks.items()}
+
+    def check(blocks, trial=None):
+        """verify_d_squared's report on the blocks, checked against the
+        oracle; returns it with every failing generator."""
+        tampered = FilteredComplex(
+            fc.weights, {(1, w): F2Coo(*dense_coo(b)) for w, b in blocks.items()}, fc.q, fc.mark
+        )
+        report = verify_d_squared(tampered)
+        failing, image = [], None
+        for w in sorted(blocks):
+            if w + 1 in blocks:
+                sq = (blocks[w + 1] @ blocks[w]) % 2
+                cols = np.flatnonzero(sq.any(axis=0))
+                if cols.size and not failing:
+                    image = sum(1 << (fc.low_index(w + 2) + int(i)) for i in np.flatnonzero(sq[:, cols[0]]))
+                failing += (fc.low_index(w) + cols).tolist()
+        witness = failing[0] if failing else None
+        assert (report.ok, report.witness, report.image) == (witness is None, witness, image), trial
+        return tampered, report, failing
+
+    (_, bottom), (_, top) = min(fc.blocks), max(fc.blocks)
+    blocks = {w: b.copy() for w, b in dense.items()}
+    grades = []
+    for w, pick in ((top, min), (bottom, max)):
+        (lo, hi), (t_lo, t_hi) = fc.block_range(w), fc.block_range(w + 1)
+        src, tgt = fc.q[lo:hi], fc.q[t_lo:t_hi]
+        # the top flip (t <- g) fails at the sources into g, the bottom one at g, through the image of t
+        src_ok = dense[w - 1].any(axis=1) if w == top else np.ones(hi - lo, bool)
+        tgt_ok = dense[w + 1].any(axis=0) if w == bottom else np.ones(t_hi - t_lo, bool)
+        v = pick(np.intersect1d(src[src_ok], tgt[tgt_ok]))
+        g, t = np.flatnonzero(src_ok & (src == v))[0], np.flatnonzero(tgt_ok & (tgt == v))[0]
+        blocks[w][t, g] = 1 - blocks[w][t, g]
+        grades.append(v)
+    tampered, report, failing = check(blocks)
+    low, high = grades
+    assert tampered._graded_by_q() and low < high
+    assert fc.q[report.witness] == high and fc.weights[report.witness] == bottom
+    assert min(g for g in failing if fc.q[g] == low) > report.witness
+
     rng = np.random.default_rng(strands * 100 + len(word))
     keys = sorted(fc.blocks)
     seen = Counter()
@@ -249,23 +298,44 @@ def test_graded_witness_matches_dense_oracle(strands, word):
             t = rng.choice(targets)
             blocks[w] = blocks[w].copy()
             blocks[w][t, g - lo] = 1 - blocks[w][t, g - lo]
-        tampered = FilteredComplex(
-            fc.weights, {(1, w): F2Matrix.from_dense(b.astype(np.uint8)) for w, b in blocks.items()}, fc.q, fc.mark
-        )
+        tampered, report, _ = check(blocks, trial)
         assert tampered._graded_by_q() == (not move)
-        report = verify_d_squared(tampered)
-        witness = image = None
-        for w in sorted(blocks):
-            if w + 1 in blocks:
-                sq = (blocks[w + 1] @ blocks[w]) % 2
-                failing = np.flatnonzero(sq.any(axis=0))
-                if failing.size:
-                    witness = fc.low_index(w) + int(failing[0])
-                    image = sum(1 << (fc.low_index(w + 2) + int(i)) for i in np.flatnonzero(sq[:, failing[0]]))
-                    break
-        assert (report.ok, report.witness, report.image) == (witness is None, witness, image), trial
         seen[move, report.ok] += 1
     assert seen[True, False] and seen[False, False], seen
+
+
+@pytest.mark.parametrize("twists", [7, 9])
+def test_d_squared_holds_one_grade_of_parts(monkeypatch, twists):
+    """verify_d_squared on 4-strand s2^7 and s2^9 holds one q-grade's dense
+    parts at a time: the bytes of the live parts never exceed the largest
+    total of one grade's parts, computed from q, and all are freed after."""
+    fc = filtered_of(" ".join(["s2"] * twists), 4)
+    fc = FilteredComplex(fc.weights, fc.blocks, fc.q, fc.mark)  # assembly's square is not kept on it
+    assert fc._graded_by_q()
+    live = [0, 0]  # bytes now, peak
+
+    class Part(F2Matrix):
+        __slots__ = ()
+
+        def __del__(self):
+            live[0] -= self.words.nbytes
+
+    original = F2Matrix.from_coo.__func__
+
+    def tracked(cls, rows, cols, ri, ci):
+        part = original(Part, rows, cols, ri, ci)
+        live[0] += part.words.nbytes
+        live[1] = max(live)
+        return part
+
+    monkeypatch.setattr(F2Matrix, "from_coo", classmethod(tracked))
+    assert verify_d_squared(fc).ok
+    per_grade = Counter()
+    for (r, w), blk in fc.blocks.items():
+        src, tgt = fc.q[slice(*fc.block_range(w))], fc.q[slice(*fc.block_range(w + r))]
+        for v in set(src[blk.ci].tolist()):
+            per_grade[v] += 8 * np.count_nonzero(tgt == v) * -(-np.count_nonzero(src == v) // 64)
+    assert live[0] == 0 and 0 < live[1] <= max(per_grade.values())
 
 
 # -- higher-map loading -----------------------------------------------
@@ -281,7 +351,7 @@ def test_zero_block_changes_nothing(monkeypatch):
     w0 = fc.weight_values[0]
     lo, hi = fc.block_range(w0)
     t0, t1 = fc.block_range(w0 + 2)
-    out = load_higher_maps(fc, {(2, w0): F2Matrix.zeros(t1 - t0, hi - lo)})
+    out = load_higher_maps(fc, {(2, w0): F2Coo(t1 - t0, hi - lo, [], [])})
     assert out.q is fc.q  # shift >= 2 blocks leave the q grading valid
 
     def ranked(cx):
@@ -305,9 +375,9 @@ def test_higher_map_shift_bounds():
     fc = filtered_of("s2 s2", 4)
     w0 = fc.weight_values[0]
     with pytest.raises(ValueError, match=">= 2"):
-        load_higher_maps(fc, {(1, w0): F2Matrix.zeros(4, 4)})
+        load_higher_maps(fc, {(1, w0): F2Coo(4, 4, [], [])})
     with pytest.raises(ValueError, match="expected"):
-        load_higher_maps(fc, {(2, w0): F2Matrix.zeros(3, 3)})
+        load_higher_maps(fc, {(2, w0): F2Coo(3, 3, [], [])})
 
 
 def test_higher_map_d2_witness():
@@ -364,7 +434,7 @@ def test_conjugated_injection_preserves_low_pages():
     dense = fc.differential.to_dense()
     conj = conjugate_dense(list(fc.weights), dense, rng, min_shift=2)
     parts = blocks_from_dense(fc.weights, conj)
-    assert {key: F2Coo.from_matrix(parts.pop(key)) for key in fc.blocks} == fc.blocks  # d_1 itself is unchanged
+    assert {key: parts.pop(key) for key in fc.blocks} == fc.blocks  # d_1 itself is unchanged
     assert all(r == 1 for r, _ in fc.blocks) and all(r >= 2 for r, _ in parts)
     table = parts
     if not table:
@@ -512,7 +582,7 @@ def test_cycle_dims_match_window_kernel(monkeypatch):
 
 def test_nonzero_d2():
     # two generators at weights 0 and 2, one weight-2 arrow between them
-    fc = FilteredComplex((0, 2), {(2, 0): F2Matrix.from_dense([[1]])})
+    fc = FilteredComplex((0, 2), {(2, 0): F2Coo(1, 1, [0], [0])})
     pages = compute_pages(fc)
     assert pages.dims(1) == {0: 1, 2: 1}
     assert pages.dims(2) == {0: 1, 2: 1}
@@ -571,7 +641,7 @@ def test_canonical_complexes_rank_every_d_r():
 
 def test_page_ranks_are_checked(monkeypatch):
     """A d_r rank outside [0, min(dim E_r^w, dim E_r^{w+r})] is an internal error."""
-    fc = FilteredComplex((0, 1, 1, 2), {(2, 0): F2Matrix.from_dense([[1]])})
+    fc = FilteredComplex((0, 1, 1, 2), {(2, 0): F2Coo(1, 1, [0], [0])})
     # cycle dimensions that grow with the window would give d_1 a negative rank
     monkeypatch.setattr(specseq, "_cycle_dims", lambda fc: lambda w, r: fc.low_index(w + r))
     with pytest.raises(ConsistencyError, match="d_1 at weight 0 has rank -2"):
@@ -605,7 +675,7 @@ def test_truncated_pure_run():
 
 
 def test_truncated_general_run():
-    fc = FilteredComplex((0, 2), {(2, 0): F2Matrix.from_dense([[1]])})
+    fc = FilteredComplex((0, 2), {(2, 0): F2Coo(1, 1, [0], [0])})
     pages = compute_pages(fc, r_max=2)
     assert pages.stabilization is None
     with pytest.raises(ValueError):
@@ -636,7 +706,7 @@ def test_rank_bounds_chain():
 
 
 def test_rank_bounds_without_e_inf():
-    fc = FilteredComplex((0, 2), {(2, 0): F2Matrix.from_dense([[1]])})
+    fc = FilteredComplex((0, 2), {(2, 0): F2Coo(1, 1, [0], [0])})
     rep = rank_bounds(compute_pages(fc, r_max=2))
     assert rep.chain[0][0] == "E_2"
     assert rep.first_page_bound == 2

@@ -21,6 +21,7 @@ from platcube.tqft import VertexSpace, assemble_complex
 from oracles import (
     COMUL,
     MUL,
+    column_map_coo,
     dense_matmul,
     dense_rank,
     graded_homology,
@@ -38,7 +39,7 @@ def cube_of(word, strands):
 def block(circles_in, circles_out, cob) -> F2Matrix:
     """One edge block, built from the sparse columns assembly uses."""
     si, sj = VertexSpace(circles_in), VertexSpace(circles_out)
-    ri, ci = tqft._edge_columns(si, sj, cob).coo()
+    ri, ci = column_map_coo(tqft._edge_columns(si, sj, cob))
     return F2Matrix.from_coo(sj.dim, si.dim, ri, ci)
 
 
@@ -331,7 +332,7 @@ def test_face_check_matches_naive_oracle(monkeypatch):
         blocks = {}
         for edge, cob in cube.edges.items():
             cm = maps[id(cob)]
-            blocks[edge] = F2Matrix.from_coo(cm.dim_out, cm.dim_in, *cm.coo()).to_dense()
+            blocks[edge] = F2Matrix.from_coo(cm.dim_out, cm.dim_in, *column_map_coo(cm)).to_dense()
         face = naive_face_check(cube.n, blocks)
         if face is not None:
             i, a, b = face
@@ -629,7 +630,7 @@ def test_face_named_at_lowest_failing_generator(monkeypatch):
     blocks = {}
     for edge, cob in cube.edges.items():
         cm = maps[id(cob)]
-        blocks[edge] = F2Matrix.from_coo(cm.dim_out, cm.dim_in, *cm.coo()).to_dense()
+        blocks[edge] = F2Matrix.from_coo(cm.dim_out, cm.dim_in, *column_map_coo(cm)).to_dense()
     failing = naive_failing_faces(cube.n, blocks)
     assert naive_face_check(cube.n, blocks) == failing[0]
     lowest = min(v for v, _, _ in failing)
