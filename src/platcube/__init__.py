@@ -53,7 +53,6 @@ from .tangle import (
 )
 from .tqft import (
     ChainComplexF2,
-    VertexSpace,
     assemble_complex,
 )
 
@@ -77,7 +76,6 @@ __all__ = [
     "Split",
     "Subspace",
     "TwistSequence",
-    "VertexSpace",
     "add_aux_unknot",
     "assemble_complex",
     "braid_to_twists",

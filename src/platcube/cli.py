@@ -20,7 +20,6 @@ import json
 import random
 import sys
 import time
-from collections import Counter
 
 import numpy as np
 
@@ -83,7 +82,6 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
         body = line.split("#", 1)[0]
         tokens.extend(body.split())
     n_twists = cc.cube.n
-    size = Counter(cc.filtered.weights)
     coords: dict[tuple[int, int], tuple[list[np.ndarray], list[np.ndarray]]] = {}
     pos = 0
 
@@ -117,8 +115,7 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
             raise ValueError(
                 f"higher-maps table: block {src_bits}->{tgt_bits} shifts weight by {shift}, not {r}"
             )
-        rows = cc.spaces[tgt].dim
-        cols = cc.spaces[src].dim
+        rows, cols = 1 << cc.cube.circle_count(tgt), 1 << cc.cube.circle_count(src)
         block = tokens[pos : pos + rows]
         pos += rows
         for row in block:  # a bad row is reported before the table's end
@@ -133,6 +130,7 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
         ri, ci = coords.setdefault((r, cc.cube.weight(src)), ([], []))
         ri.append(cc.offsets[tgt] + q)
         ci.append(cc.offsets[src] + p)
+    size = {w: hi - lo for w in cc.filtered.weight_values for lo, hi in [cc.filtered.block_range(w)]}
     return {
         (r, w): F2Coo(size[w + r], size[w], np.concatenate(ri), np.concatenate(ci))
         for (r, w), (ri, ci) in sorted(coords.items())

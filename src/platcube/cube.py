@@ -60,10 +60,11 @@ MAX_TWISTS = 16
 
 # A (1, w) block of the differential held densely, one bit per entry, would need
 # 213 MiB for the largest of 4-strand s2^11, 1.7 GiB at s2^12 and 1 GiB for one
-# twist on 32 strands.  No run makes one dense any more, so refusing such a block
-# over-counts (ROADMAP.md: assembly in bounded pieces).  The int64 arrays that
-# assembly holds at once, counted per generator and cube axis, are refused above
-# this limit too, all before anything is allocated.
+# twist on 32 strands.  A cube's own run cuts its wider blocks one q-grade at a
+# time, but a higher-maps table with an entry that moves q puts the d∘d check in
+# one grade, and it cuts each whole block densely: the dense size bounds that check.
+# The int64 arrays that assembly holds at once, counted per generator and cube
+# axis, are refused above this limit too, all before anything is allocated.
 MAX_BLOCK_BYTES = 512 << 20
 
 

@@ -121,11 +121,6 @@ class F2Matrix:
 
     # -- algebra ------------------------------------------------------
 
-    def __add__(self, other: "F2Matrix") -> "F2Matrix":
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch {self.shape} vs {other.shape}")
-        return F2Matrix(self.rows, self.cols, self.words ^ other.words)
-
     def transpose(self) -> "F2Matrix":
         return F2Matrix.from_dense(self.to_dense().T)
 
@@ -219,10 +214,6 @@ def _set_bits(words: np.ndarray, row_words: int, flat: np.ndarray) -> tuple[np.n
     byte = nonzero[t]
     rows, w = np.divmod(flat[byte >> 3], row_words)
     return rows, w * _WORD + (byte & 7) * 8 + bit
-
-
-def _column_bits(words: np.ndarray, col: int) -> np.ndarray:
-    return ((words[:, col // _WORD] >> np.uint64(col % _WORD)) & np.uint64(1)).astype(bool)
 
 
 def rref(m: F2Matrix) -> tuple[F2Matrix, int, tuple[int, ...]]:

@@ -55,7 +55,7 @@ from operator import gt
 import numpy as np
 
 from .cube import ConsistencyError
-from .f2linalg import _WORD, F2Coo, F2Matrix, _column_bits, _set_bits, kernel_basis, matmul, rank
+from .f2linalg import _WORD, F2Coo, F2Matrix, _set_bits, kernel_basis, matmul, rank
 
 __all__ = [
     "FilteredComplex",
@@ -178,13 +178,12 @@ class FilteredComplex:
         by_source: dict[int, list[int]] = {}
         for r, w in self.blocks:
             by_source.setdefault(w, []).append(r)
-        by_weight = {}  # weight -> its generators grouped by grade, and each one's position in its grade
+        by_weight = {}  # weight -> its generators grouped by grade
         for w in {w + d for r, w in self.blocks for d in (0, r)}:
             lo, hi = self.block_range(w)
-            by = _Grading(self.q[lo:hi] if graded else None, hi - lo)
-            by_weight[w] = by, by.positions()
+            by_weight[w] = _Grading(self.q[lo:hi] if graded else None, hi - lo)
         entries = {  # block key -> {grade: indices of its entries in that grade}
-            (r, w): dict(_Grading(self.q[self.low_index(w) + blk.ci] if graded else None, blk.nnz).groups())
+            (r, w): _by_grade(self.q[self.low_index(w) + blk.ci] if graded else None, blk.nnz)
             for (r, w), blk in self.blocks.items()
         }
 
@@ -193,27 +192,26 @@ class FilteredComplex:
             parts = {}
             for (r, w), e in entries.items():
                 if v in e:
-                    blk, (src, pos), (tgt, t_pos) = self.blocks[(r, w)], by_weight[w], by_weight[w + r]
-                    rows, cols = tgt.members(v).size, src.members(v).size
-                    parts[(r, w)] = F2Matrix.from_coo(rows, cols, t_pos[blk.ri[e[v]]], pos[blk.ci[e[v]]])
+                    blk = self.blocks[(r, w)]
+                    parts[(r, w)] = _part(by_weight[w], by_weight[w + r], v, blk.ri[e[v]], blk.ci[e[v]])
             for w in sorted(by_source):
-                sums: dict[int, F2Matrix] = {}
+                sums: dict[int, np.ndarray] = {}  # target weight -> the words of the summed products
                 for r in by_source[w]:
                     for s in by_source.get(w + r, ()):
                         if (r, w) in parts and (s, w + r) in parts:
-                            prod = matmul(parts[(s, w + r)], parts[(r, w)])
-                            t = w + r + s
-                            sums[t] = sums[t] + prod if t in sums else prod
-                failing = {t: p.words for t, p in sums.items() if not p.is_zero()}
+                            prod, t = matmul(parts[(s, w + r)], parts[(r, w)]).words, w + r + s
+                            sums[t] = sums[t] ^ prod if t in sums else prod
+                failing = {t: p for t, p in sums.items() if p.any()}
                 if failing:
                     used = np.bitwise_or.reduce([np.bitwise_or.reduce(p, axis=0) for p in failing.values()])
                     j = int(_set_bits(used, used.size, np.flatnonzero(used)[:1])[1][0])
+                    word, bit = j // _WORD, np.uint64(j % _WORD)
                     # the target blocks are disjoint, so adding their columns is a union
                     image = 0
                     for t, p in failing.items():
-                        targets = self.low_index(t) + by_weight[t][0].members(v)
-                        image |= sum(1 << int(targets[i]) for i in np.flatnonzero(_column_bits(p, j)))
-                    return self.low_index(w) + int(by_weight[w][0].members(v)[j]), image
+                        targets = self.low_index(t) + by_weight[t].members[v]
+                        image |= sum(1 << int(targets[i]) for i in np.flatnonzero(p[:, word] >> bit & np.uint64(1)))
+                    return self.low_index(w) + int(by_weight[w].members[v][j]), image
             return None
 
         failures = [f for f in map(lowest_failing, sorted(set().union(*entries.values()))) if f is not None]
@@ -221,41 +219,43 @@ class FilteredComplex:
         return DSquaredReport(witness is None, witness=witness, image=image)
 
 
+def _by_grade(g: np.ndarray | None, n: int, kept: np.ndarray | None = None) -> dict[int, np.ndarray]:
+    """Indices 0..n-1, or those in the mask kept, grouped by a grade g, each
+    group ascending, keyed by the grades in ascending order; all in one grade
+    0 when g is None."""
+    if g is None:
+        return {0: np.arange(n)}
+    if kept is None:
+        order = np.argsort(g, kind="stable")
+    else:
+        kept = np.flatnonzero(kept)
+        order = kept[np.argsort(g[kept], kind="stable")]
+    s = g[order]
+    starts = np.flatnonzero(np.diff(s, prepend=s[:1] - 1)).tolist()
+    return {v: order[a:b] for v, a, b in zip(s[starts].tolist(), starts, [*starts[1:], s.size])}
+
+
 class _Grading:
-    """Indices 0..n-1 grouped by a grade g, or all in one grade 0 when g is None.
+    """Generators 0..n-1, or those in the mask kept, grouped by a grade g
+    (``_by_grade``): members[v] are those of grade v, ascending, and pos[i] is
+    generator i's position among them (0 if not kept)."""
 
-    values are the distinct grades ascending, and order the indices sorted
-    stably by grade, so those of values[k] are order[bounds[k]:bounds[k + 1]],
-    ascending.
-    """
+    __slots__ = ("members", "pos")
 
-    __slots__ = ("values", "bounds", "order")
-
-    def __init__(self, g: np.ndarray | None, n: int):
-        if g is None:
-            self.values, self.bounds, self.order = [0], np.array([0, n]), np.arange(n)
+    def __init__(self, g: np.ndarray | None, n: int, kept: np.ndarray | None = None):
+        self.members = _by_grade(g, n, kept)
+        if g is None:  # the positions are then the generators themselves
+            self.pos = self.members[0]
             return
-        self.order = np.argsort(g, kind="stable")
-        s = g[self.order]
-        starts = np.flatnonzero(np.diff(s, prepend=s[:1] - 1))
-        self.values, self.bounds = s[starts].tolist(), np.append(starts, n)
+        self.pos = np.zeros(n, dtype=np.int64)
+        for m in self.members.values():
+            self.pos[m] = np.arange(m.size)
 
-    def groups(self):
-        """(grade, its indices) for every grade, lowest first."""
-        for k, v in enumerate(self.values):
-            yield v, self.order[self.bounds[k] : self.bounds[k + 1]]
 
-    def members(self, v: int) -> np.ndarray:
-        k = self.values.index(v)
-        return self.order[self.bounds[k] : self.bounds[k + 1]]
-
-    def positions(self) -> np.ndarray:
-        """Each index's position among the indices of its grade."""
-        if len(self.values) <= 1:  # order is then 0..n-1 itself
-            return self.order
-        pos = np.empty(self.order.size, dtype=np.int64)
-        pos[self.order] = np.arange(self.order.size) - np.repeat(self.bounds[:-1], np.diff(self.bounds))
-        return pos
+def _part(src: _Grading, tgt: _Grading, v: int, ri: np.ndarray, ci: np.ndarray) -> F2Matrix:
+    """The dense part between the generators of grade v of a block's entries
+    (ri, ci), all from sources of grade v."""
+    return F2Matrix.from_coo(tgt.members[v].size, src.members[v].size, tgt.pos[ri], src.pos[ci])
 
 
 @dataclass(frozen=True)
@@ -392,11 +392,9 @@ def _d1_ranks(fc: FilteredComplex) -> dict[int, int]:
                 where = f"from q {fc.q[g]} to q {fc.q[t]}" if tgt[rows[e]] else "out of the marked subcomplex"
                 raise ConsistencyError(f"the differential takes marked generator {g} {where}, to generator {t}")
             rows, cols = rows[inside], cols[inside]
-            # each marked generator's position among the marked ones of its q, in generator order
-            (by_src, pos), (by_tgt, t_pos) = _marked_positions(q_src, src), _marked_positions(q_tgt, tgt)
-            for qv, e in _Grading(q_src[cols], cols.size).groups():
-                sub = F2Matrix.from_coo(by_tgt.members(qv).size, by_src.members(qv).size, t_pos[rows[e]], pos[cols[e]])
-                reduced[w] += rank(sub)
+            by_src, by_tgt = _Grading(q_src, hi - lo, src), _Grading(q_tgt, t_hi - t_lo, tgt)
+            for qv, e in _by_grade(q_src[cols], cols.size).items():
+                reduced[w] += rank(_part(by_src, by_tgt, qv, rows[e], cols[e]))
         below = ranks.get(w - 1, 0)
         e2 = 2 * (int(np.count_nonzero(src)) - reduced[w] - reduced.get(w - 1, 0))
         rk = ranks[w] = hi - lo - e2 - below
@@ -404,15 +402,6 @@ def _d1_ranks(fc: FilteredComplex) -> dict[int, int]:
         if not 0 <= rk <= bound:
             raise ConsistencyError(f"derived d_1 rank {rk} at weight {w} is outside [0, {bound}]")
     return ranks
-
-
-def _marked_positions(q: np.ndarray, mark: np.ndarray) -> tuple[_Grading, np.ndarray]:
-    """The marked generators grouped by q, and each one's position among the marked ones of its q."""
-    marked = np.flatnonzero(mark)
-    by_q = _Grading(q[marked], marked.size)
-    pos = np.zeros(mark.size, dtype=np.int64)
-    pos[marked] = by_q.positions()
-    return by_q, pos
 
 
 def _cycle_dims(fc: FilteredComplex) -> Callable[[int, int], int]:

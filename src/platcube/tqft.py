@@ -6,9 +6,9 @@ carries the c-fold tensor power: dimension 2^c, basis states indexed by
 assigning 1 or X to each circle.  A merge edge acts by multiplication
 on its two active circles, a split edge by comultiplication, and both
 act as the identity on every spectator circle.  ``_edge_columns`` writes
-these rules into the sparse columns of each edge block.  Those columns
-depend only on the edge's shape, so they are tabulated once per shape,
-in a memo that lives for one assembly.
+these rules as the entries of each edge block, at most two per column.
+Those entries depend only on the edge's shape, so they are tabulated once
+per shape, in a memo that lives for one assembly.
 
 Basis order: circles in ascending label order, the first circle most
 significant, and 1 before X in each factor.  So index 0 is all-1s and
@@ -45,58 +45,33 @@ from itertools import accumulate, chain, repeat
 import numpy as np
 
 from . import specseq
-from .cube import MAX_BLOCK_BYTES, ConsistencyError, Merge, ResolutionCube, Split, _assembly_bytes
+from .cube import MAX_BLOCK_BYTES, ConsistencyError, CubeVertex, Merge, ResolutionCube, Split, _assembly_bytes
 from .f2linalg import F2Coo
 from .specseq import FilteredComplex
 
 __all__ = [
-    "VertexSpace",
     "ChainComplexF2",
     "assemble_complex",
 ]
 
 
-@dataclass(frozen=True)
-class VertexSpace:
-    """Tensor power of the algebra over the circles of one vertex."""
-
-    circles: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return 1 << len(self.circles)
-
-    def bit_of(self, label: int) -> int:
-        """Bit position of a circle inside a basis index."""
-        j = self.circles.index(label)
-        return len(self.circles) - 1 - j
-
-
-@dataclass(frozen=True)
-class _ColumnMap:
-    """Sparse columns of an edge block: <= 2 output rows per input."""
-
-    dim_in: int
-    dim_out: int
-    out_a: np.ndarray
-    out_b: np.ndarray
-    terms: np.ndarray  # 1 or 2 valid outputs per column; 0 = killed
-
-
-def _edge_columns(space_i: VertexSpace, space_j: VertexSpace, cob: Merge | Split, shape_columns=None) -> _ColumnMap:
-    """The sparse columns of one edge block: the read-only table of its shape,
-    from shape_columns, an assembly's memo of ``_shape_columns``, when given."""
+def _edge_columns(vertex_i: CubeVertex, vertex_j: CubeVertex, cob: Merge | Split, shape_columns=None):
+    """The (row, column) entries of one edge block: the read-only table of
+    its shape, from shape_columns, an assembly's memo of ``_shape_columns``,
+    when given.  A circle's bit in a basis index counts from the last circle."""
     merge = isinstance(cob, Merge)
     active_in, active_out = (cob.sources, (cob.target,)) if merge else ((cob.source,), cob.targets)
-    bits_in, bits_out = tuple(map(space_i.bit_of, active_in)), tuple(map(space_j.bit_of, active_out))
-    return (shape_columns or _shape_columns)(merge, len(space_i.circles), bits_in, bits_out)
+    bits_in = tuple(vertex_i.count - 1 - vertex_i.circles.index(c) for c in active_in)
+    bits_out = tuple(vertex_j.count - 1 - vertex_j.circles.index(c) for c in active_out)
+    return (shape_columns or _shape_columns)(merge, vertex_i.count, bits_in, bits_out)
 
 
-def _shape_columns(merge: bool, count: int, bits_in: tuple[int, ...], bits_out: tuple[int, ...]) -> _ColumnMap:
-    """Columns of every edge of one shape: a merge or a split out of count
-    circles, whose active circles sit at bits_in of the source index and at
-    bits_out of the target index.  Circles are in ascending label order, so
-    the spectators keep their relative order and fill the other bits in turn.
+def _shape_columns(merge: bool, count: int, bits_in: tuple[int, ...], bits_out: tuple[int, ...]):
+    """The (row, column) entries of every edge of one shape: a merge or a
+    split out of count circles, whose active circles sit at bits_in of the
+    source index and at bits_out of the target index.  Circles are in
+    ascending label order, so the spectators keep their relative order and
+    fill the other bits in turn.
 
     ``_weight_blocks`` memoizes it for one assembly, so a table lives as long
     as that assembly; its arrays are read-only, since every edge of the shape
@@ -112,19 +87,18 @@ def _shape_columns(merge: bool, count: int, bits_in: tuple[int, ...], bits_out: 
 
     if merge:
         va, vb = ((v >> b) & 1 for b in bits_in)
-        product = va | vb  # X absorbs; X.X handled by the kill mask
-        out_a = out_b = base | (product << bits_out[0])
-        terms = np.where(va & vb, 0, 1).astype(np.int64)
+        ci = np.flatnonzero((va & vb) == 0)  # X.X = 0; otherwise X absorbs
+        ri = (base | ((va | vb) << bits_out[0]))[ci]
     else:
         vc = (v >> bits_in[0]) & 1
+        one = np.flatnonzero(vc == 0)
         bit_a, bit_b = bits_out
-        # 1 -> 1(x)X + X(x)1 gives two rows; X -> X(x)X gives one
-        out_a = np.where(vc == 0, base | (1 << bit_b), base | (1 << bit_a) | (1 << bit_b))
-        out_b = np.where(vc == 0, base | (1 << bit_a), out_a)
-        terms = np.where(vc == 0, 2, 1).astype(np.int64)
-    for arr in (out_a, out_b, terms):
+        # X -> X(x)X in every column, and 1 -> 1(x)X + X(x)1 gives a second row
+        ri = np.concatenate([base | (vc << bit_a) | (1 << bit_b), base[one] | (1 << bit_a)])
+        ci = np.concatenate([v, one])
+    for arr in (ri, ci):
         arr.flags.writeable = False
-    return _ColumnMap(1 << count, 1 << count_out, out_a, out_b, terms)
+    return ri, ci
 
 
 @dataclass(eq=False)
@@ -139,7 +113,6 @@ class ChainComplexF2:
 
     cube: ResolutionCube
     offsets: dict[int, int]
-    spaces: dict[int, VertexSpace]
     filtered: FilteredComplex
 
     def to_filtered(self) -> FilteredComplex:
@@ -147,20 +120,27 @@ class ChainComplexF2:
 
 
 def _check_block_bytes(cube: ResolutionCube) -> None:
-    """Refuse a cube whose largest (1, w) block, sized as if dense (which
-    over-counts: no block is made dense any more), or whose int64 arrays held
-    at once in assembly, exceed MAX_BLOCK_BYTES.
+    """Refuse a cube whose largest (1, w) block, sized as if dense, or whose
+    int64 arrays held at once in assembly, exceed MAX_BLOCK_BYTES.
+
+    A cube's own run cuts a block whole only if it is at most 64 columns
+    wide, but ``specseq`` squares D in one grade, every block cut whole, once
+    a higher-maps table adds an entry that moves q: the dense size is what
+    bounds that check.
 
     Assembly holds at most 4 int64 per generator (q, the mark and the index
-    arithmetic that makes them, later q, the mark and the weights) and 13 per
-    generator and cube axis: the shape tables laid end to end (3 arrays,
-    each table once), then, for one source weight at a time with E its
-    generators times the axes, at most 8.75 E: the gather's 4 arrays and 2
-    masks of E entries while it makes the COO (1.5 E entries, as only a
-    split's column with 1 on the split circle has two, a row and a column
-    index each) and one copy of an index; later the COO and the three copies
-    the q test and ``F2Coo`` make of an index (7.5 E).  Sizes
-    come from the circle counts alone, so nothing is allocated.
+    arithmetic that makes them, later q, the mark and the weights) and 9 per
+    generator and cube axis, under the 13 that ``_assembly_bytes`` counts.
+    The shape tables have at most 1.5 entries per column (a split's column
+    with 1 on the split circle has two, a merge's at most one), a row and a
+    column index each, and every distinct table serves an edge of as many
+    columns: 3 per generator and axis, held twice while they are laid end to
+    end, then once.  For one source weight at a time, with E its generators
+    times the axes, the gather holds at most 4 arrays of its 1.5 E entries
+    (the index into the laid tables, the rows, the columns and one repeated
+    offset), then the q test and ``F2Coo`` 2 more beside the rows and
+    columns: 6 E.  Sizes come from the circle counts alone, so nothing is
+    allocated.
     """
     size = Counter()  # generators per weight
     for v, vertex in cube.vertices.items():
@@ -180,47 +160,42 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
         )
 
 
-def _weight_blocks(cube, spaces, start, low, size, q) -> tuple[dict, tuple[int, int] | None]:
+def _weight_blocks(cube, offsets, low, size, q) -> tuple[dict, tuple[int, int] | None]:
     """The (1, w) blocks, as their entries, and the (source, target)
-    generators of the first entry moving q.  The edges' tables are laid end
-    to end, and each block's entries are gathered straight from them, one
-    source weight at a time."""
-    tables, index, edges = [], {}, []  # distinct tables; id -> position; axis, weight, starts and table per edge
+    generators of the entry moving q with the lowest source, then the lowest
+    target.  The edges' tables are laid end to end, and each block's entries
+    are gathered from them with one index, one source weight at a time."""
+    tables, index, edges = [], {}, []  # distinct tables; id -> position; weight, offsets and table per edge
     shape_columns = cache(_shape_columns)  # this assembly's tables, one per shape
-    for (i_vertex, j_vertex), cob in cube.edges.items():
-        cmap = _edge_columns(spaces[i_vertex], spaces[j_vertex], cob, shape_columns)
-        if id(cmap) not in index:
-            index[id(cmap)] = len(tables)
-            tables.append(cmap)
-        axis = (i_vertex ^ j_vertex).bit_length() - 1
-        edges += axis, cube.weight(i_vertex), start[i_vertex], start[j_vertex], index[id(cmap)]
+    for (i, j), cob in cube.edges.items():
+        table = _edge_columns(cube.vertices[i], cube.vertices[j], cob, shape_columns)
+        if id(table) not in index:
+            index[id(table)] = len(tables)
+            tables.append(table)
+        edges += cube.weight(i), offsets[i], offsets[j], index[id(table)]
     blocks, moved = {}, None
     if not tables:
         return blocks, moved
-    edges = np.array(edges).reshape(-1, 5)
-    # by axis, then source: each block's entries come by axis, then by source column
-    edges = edges[np.argsort(edges[:, 0], kind="stable")]
-    width = np.array([cmap.dim_in for cmap in tables])
-    first = np.cumsum(width) - width  # where each table starts, end to end
-    out_a, out_b, terms = (np.concatenate([getattr(cmap, name) for cmap in tables]) for name in ("out_a", "out_b", "terms"))
+    edges = np.array(edges).reshape(-1, 4)
+    nnz = np.array([ri.size for ri, _ in tables])
+    first = np.cumsum(nnz) - nnz  # where each table's entries start, end to end
+    rows, cols = (np.concatenate(arrays) for arrays in zip(*tables))
+    del tables, shape_columns  # the laid copies are all that is read from here on
     for w in sorted(size)[:-1]:  # every weight below the top has edges out
+        _, off_i, off_j, table = edges[edges[:, 0] == w].T
+        counts = nnz[table]
+        at = np.repeat(first[table] - (np.cumsum(counts) - counts), counts)
+        at += np.arange(at.size)  # each edge's entries in turn, where they sit in the laid tables
+        ri, ci = rows[at], cols[at]
+        del at
+        ri += np.repeat(off_j, counts)
+        ci += np.repeat(off_i, counts)
         lo, t_lo = low[w], low[w + 1]
-        _, _, start_i, start_j, table = edges[edges[:, 1] == w].T
-        cols = width[table]
-        # each edge's columns in turn: where they sit in the laid tables, then in the block
-        rows = np.arange(cols.sum()) + np.repeat(first[table] - (np.cumsum(cols) - cols), cols)
-        ci = rows + np.repeat(start_i - lo - first[table], cols)
-        shift = np.repeat(start_j, cols)
-        k = terms[rows]
-        one, two = k >= 1, k >= 2
-        ri = np.concatenate([out_a[rows[one]] + shift[one], out_b[rows[two]] + shift[two]])
-        ci = np.concatenate([ci[one], ci[two]])
-        del rows, shift, k, one, two
-        bad = np.flatnonzero(q[ri] != q[ci + lo])
+        bad = np.flatnonzero(q[t_lo:][ri] != q[lo:][ci])
         if bad.size and moved is None:
-            e = bad[np.argmin(ci[bad])]
-            moved = (lo + int(ci[e]), int(ri[e]))
-        blocks[(1, w)] = F2Coo(size[w + 1], size[w], ri - t_lo, ci)
+            e = bad[np.lexsort((ri[bad], ci[bad]))[0]]
+            moved = (lo + int(ci[e]), t_lo + int(ri[e]))
+        blocks[(1, w)] = F2Coo(size[w + 1], size[w], ri, ci)
     return blocks, moved
 
 
@@ -241,25 +216,24 @@ def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainCom
     """
     _check_block_bytes(cube)
     order = sorted(cube.vertices, key=lambda v: (cube.weight(v), v))
-    spaces = {v: VertexSpace(cube.vertices[v].circles) for v in order}
-    dims = [spaces[v].dim for v in order]
+    dims = [1 << cube.vertices[v].count for v in order]
     starts = [0, *accumulate(dims)]  # vertex order[k] holds generators [starts[k], starts[k + 1])
-    start = dict(zip(order, starts))
-    n, size, low = starts[-1], Counter(), {}
-    for v in order:
-        size[cube.weight(v)] += spaces[v].dim
-        low.setdefault(cube.weight(v), start[v])
-    offsets = {v: start[v] - low[cube.weight(v)] for v in order}
+    n, size, low, offsets = starts[-1], Counter(), {}, {}
+    for v, start, dim in zip(order, starts, dims):
+        w = cube.weight(v)
+        low.setdefault(w, start)
+        offsets[v] = start - low[w]
+        size[w] += dim
     local = np.arange(n)
     local -= np.repeat(starts[:-1], dims)
     # circle 0 is the top bit of a local index: X there in the upper half of each vertex
     mark = local >= np.repeat([d // 2 for d in dims], dims)
     # q = c - 2 #X + weight; index bit 1 is X, so a local index's popcount counts the X factors
-    base = [len(spaces[v].circles) + cube.weight(v) for v in order]
+    base = [cube.vertices[v].count + cube.weight(v) for v in order]
     q = np.repeat(base, dims) - 2 * np.bitwise_count(local)
     del local  # before the blocks are gathered
 
-    blocks, moved = _weight_blocks(cube, spaces, start, low, size, q)
+    blocks, moved = _weight_blocks(cube, offsets, low, size, q)
     # the weights go in as an iterator, so only the complex's own tuple holds them
     weights = chain.from_iterable(repeat(cube.weight(v), d) for v, d in zip(order, dims))
     fc = FilteredComplex(weights, blocks, q, mark)
@@ -278,4 +252,4 @@ def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainCom
         g, t = moved
         i, j = cube.bitstring(vertex_at(g)), cube.bitstring(vertex_at(t))
         raise ConsistencyError(f"edge {i}->{j} does not preserve q at generator {g}")
-    return ChainComplexF2(cube, offsets, spaces, fc)
+    return ChainComplexF2(cube, offsets, fc)

@@ -274,16 +274,6 @@ def naive_cube_complex(positions, signs, strands, cups, caps):
     return weights, d
 
 
-def column_map_coo(cm) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, columns) of the entries of an edge block's sparse columns: each
-    column has out_a when it has at least one term, and out_b when two."""
-    first = cm.terms >= 1
-    second = cm.terms >= 2
-    ri = np.concatenate([cm.out_a[first], cm.out_b[second]])
-    ci = np.concatenate([np.flatnonzero(first), np.flatnonzero(second)])
-    return ri, ci
-
-
 def naive_face_check(n, edge_blocks):
     """The lowest non-commuting face of a cube, as (vertex, a, b), or None.
 

@@ -233,13 +233,6 @@ def test_transpose():
         assert t.transpose() == m
 
 
-def test_add_is_xor():
-    rng = random.Random(9)
-    a, b = rand_dense(rng, 6, 100), rand_dense(rng, 6, 100)
-    s = F2Matrix.from_dense(a) + F2Matrix.from_dense(b)
-    assert np.array_equal(s.to_dense(), a ^ b)
-
-
 def test_identity_neutral():
     rng = random.Random(10)
     a = rand_dense(rng, 20, 20)

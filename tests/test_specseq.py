@@ -397,7 +397,7 @@ def test_higher_map_d2_witness():
         load_higher_maps(fc, blocks_from_dense(fc.weights, h))
     exc = err.value
     assert exc.witness is not None and exc.image
-    total = (fc.differential + F2Matrix.from_dense(h)).to_dense()
+    total = fc.differential.to_dense() ^ h
     sq = dense_matmul(total, total)
     col = sq[:, exc.witness]
     assert sum(int(b) << i for i, b in enumerate(col)) == exc.image

@@ -1,5 +1,6 @@
 """Frobenius-algebra edge maps and the assembled cube differential."""
 
+import dataclasses
 import random
 import time
 import tracemalloc
@@ -12,16 +13,24 @@ from hypothesis import strategies as st
 
 import platcube.specseq as specseq
 import platcube.tqft as tqft
-from platcube.cube import ConsistencyError, Merge, Split, add_aux_unknot, braid_to_twists, build_cube, resolve_twist
-from platcube.f2linalg import F2Matrix, matmul, rank
-from platcube.specseq import FilteredComplex, compute_pages
+from platcube.cube import (
+    ConsistencyError,
+    CubeVertex,
+    Merge,
+    Split,
+    add_aux_unknot,
+    braid_to_twists,
+    build_cube,
+    resolve_twist,
+)
+from platcube.f2linalg import F2Coo, F2Matrix, matmul, rank
+from platcube.specseq import FilteredComplex, compute_pages, load_higher_maps
 from platcube.tangle import BraidWord, PlatClosure, parse_braid_word
-from platcube.tqft import VertexSpace, assemble_complex
+from platcube.tqft import assemble_complex
 
 from oracles import (
     COMUL,
     MUL,
-    column_map_coo,
     dense_matmul,
     dense_rank,
     graded_homology,
@@ -37,10 +46,15 @@ def cube_of(word, strands):
 
 
 def block(circles_in, circles_out, cob) -> F2Matrix:
-    """One edge block, built from the sparse columns assembly uses."""
-    si, sj = VertexSpace(circles_in), VertexSpace(circles_out)
-    ri, ci = column_map_coo(tqft._edge_columns(si, sj, cob))
-    return F2Matrix.from_coo(sj.dim, si.dim, ri, ci)
+    """One edge block, built from the entries assembly gathers."""
+    vi, vj = CubeVertex(circles_in), CubeVertex(circles_out)
+    return F2Matrix.from_coo(1 << vj.count, 1 << vi.count, *tqft._edge_columns(vi, vj, cob))
+
+
+def first_entries(ci) -> np.ndarray:
+    """The first entry of each column that has one: for a split's column of
+    two, the one whose row has X on the second new circle."""
+    return np.unique(ci, return_index=True)[1]
 
 
 def edge_matrix(cube, i, j) -> F2Matrix:
@@ -111,17 +125,28 @@ def test_frobenius_compatibility():
 # -- vertex spaces ----------------------------------------------------
 
 
+def shape_of(circles_in, circles_out, cob):
+    """The arguments the edge's table is built from: (merge, count, bits_in, bits_out)."""
+    return tqft._edge_columns(CubeVertex(circles_in), CubeVertex(circles_out), cob, lambda *shape: shape)
+
+
 def test_vertex_space_indexing():
-    s = VertexSpace((3, 7))
-    assert s.dim == 4
-    # first circle most significant: order 11, 1X, X1, XX
-    assert s.bit_of(3) == 1 and s.bit_of(7) == 0
+    """A vertex's space has 2^count basis states; the edge tables read each
+    circle's bit with the first circle most significant: order 11, 1X, X1, XX."""
+    assert 1 << CubeVertex((3, 7)).count == 4
+    assert shape_of((3, 7), (3,), Merge((3, 7), 3)) == (True, 2, (1, 0), (0,))
+    # splitting circle 7 into 7 and 9 leaves spectator 3 the top bit on both sides
+    assert shape_of((3, 7), (3, 7, 9), Split(7, (7, 9))) == (False, 2, (0,), (1, 0))
+    assert block((3, 7), (3,), Merge((3, 7), 3)).shape == (2, 4)
     with pytest.raises(ValueError):
-        s.bit_of(5)
+        shape_of((3, 7), (3,), Merge((3, 5), 3))
 
 
 def test_empty_vertex_space():
-    assert VertexSpace(()).dim == 1
+    assert 1 << CubeVertex(()).count == 1
+    # one circle and no twist: one vertex, two generators, no block
+    fc = assemble_complex(cube_of("", 2)).to_filtered()
+    assert (fc.n, fc.blocks) == (2, {})
 
 
 # -- edge matrices ----------------------------------------------------
@@ -187,9 +212,9 @@ def test_shape_tables_built_once(monkeypatch):
     original = tqft._edge_columns
     infos, memos = [], set()
 
-    def spy(space_i, space_j, cob, shape_columns):
-        cm = original(space_i, space_j, cob, shape_columns)
-        assert not any(arr.flags.writeable for arr in (cm.out_a, cm.out_b, cm.terms))
+    def spy(vertex_i, vertex_j, cob, shape_columns):
+        cm = original(vertex_i, vertex_j, cob, shape_columns)
+        assert not any(arr.flags.writeable for arr in cm)
         infos.append(shape_columns.cache_info())
         memos.add(weakref.ref(shape_columns))
         return cm
@@ -202,23 +227,22 @@ def test_shape_tables_built_once(monkeypatch):
     # one memo, gone with its assembly; outside one, nothing is kept
     assert len(memos) == 1 and memos.pop()() is None
     (i, j), cob = next(iter(cube.edges.items()))
-    spaces = VertexSpace(cube.vertices[i].circles), VertexSpace(cube.vertices[j].circles)
-    assert original(*spaces, cob) is not original(*spaces, cob)
+    vertices = cube.vertices[i], cube.vertices[j]
+    assert original(*vertices, cob) is not original(*vertices, cob)
 
 
 def test_spectators_tensor_factor():
     """Flipping a spectator circle commutes with every edge map."""
     cube = cube_of("s1 s2^-1 s1", 4)
     for (i, j), cob in cube.edges.items():
-        si = VertexSpace(cube.vertices[i].circles)
-        sj = VertexSpace(cube.vertices[j].circles)
+        ci, cj = cube.vertices[i].circles, cube.vertices[j].circles
         active = set(cob.sources) if isinstance(cob, Merge) else {cob.source}
-        spectators = [c for c in si.circles if c not in active]
+        spectators = [c for c in ci if c not in active]
         m = edge_matrix(cube, i, j).to_dense()
         for spect in spectators:
-            bi, bo = si.bit_of(spect), sj.bit_of(spect)
-            for col in range(si.dim):
-                for row in range(sj.dim):
+            bi, bo = len(ci) - 1 - ci.index(spect), len(cj) - 1 - cj.index(spect)
+            for col in range(1 << len(ci)):
+                for row in range(1 << len(cj)):
                     assert m[row][col] == m[row ^ (1 << bo)][col ^ (1 << bi)]
 
 
@@ -281,14 +305,13 @@ def test_face_check_catches_corruption(monkeypatch):
     original = tqft._edge_columns
     state = {"hit": False}
 
-    def tampered(space_i, space_j, cob, *memo):
-        cm = original(space_i, space_j, cob, *memo)
-        if not state["hit"] and space_i.dim >= 2:
+    def tampered(vertex_i, vertex_j, cob, *memo):
+        ri, ci = original(vertex_i, vertex_j, cob, *memo)
+        if not state["hit"] and vertex_i.count >= 1:
             state["hit"] = True
-            out_a = cm.out_a.copy()
-            out_a[0] = (out_a[0] + 1) % cm.dim_out
-            return tqft._ColumnMap(cm.dim_in, cm.dim_out, out_a, cm.out_b, cm.terms)
-        return cm
+            ri = ri.copy()
+            ri[0] = (ri[0] + 1) % (1 << vertex_j.count)  # column 0's first entry
+        return ri, ci
 
     monkeypatch.setattr(tqft, "_edge_columns", tampered)
     with pytest.raises(ConsistencyError):
@@ -310,18 +333,19 @@ def test_face_check_matches_naive_oracle(monkeypatch):
         maps = {}
         moved = {}
 
-        def tampered(space_i, space_j, cob, *memo):
-            cm = original(space_i, space_j, cob, *memo)
+        def tampered(vertex_i, vertex_j, cob, *memo):
+            ri, ci = original(vertex_i, vertex_j, cob, *memo)
             if cob is target:
-                col = rng.randrange(cm.dim_in)
-                out_a = cm.out_a.copy()
-                out_a[col] = (out_a[col] + rng.randrange(1, cm.dim_out)) % cm.dim_out
+                dim_out = 1 << vertex_j.count
+                col, shift = rng.randrange(1 << vertex_i.count), rng.randrange(1, dim_out)
+                at = np.flatnonzero(ci == col)[:1]  # the column's first entry; none if it is killed
+                row = ri[at]
+                ri = ri.copy()
+                ri[at] = (row + shift) % dim_out
                 # an entry keeps q iff its row keeps the number of X factors
-                popcounts = (int(out_a[col]).bit_count(), int(cm.out_a[col]).bit_count())
-                moved["q"] = cm.terms[col] >= 1 and popcounts[0] != popcounts[1]
-                cm = tqft._ColumnMap(cm.dim_in, cm.dim_out, out_a, cm.out_b, cm.terms)
-            maps[id(cob)] = cm
-            return cm
+                moved["q"] = bool(at.size) and int(ri[at][0]).bit_count() != int(row[0]).bit_count()
+            maps[id(cob)] = ri, ci
+            return ri, ci
 
         monkeypatch.setattr(tqft, "_edge_columns", tampered)
         try:
@@ -330,9 +354,9 @@ def test_face_check_matches_naive_oracle(monkeypatch):
         except ConsistencyError as e:
             err = str(e)
         blocks = {}
-        for edge, cob in cube.edges.items():
-            cm = maps[id(cob)]
-            blocks[edge] = F2Matrix.from_coo(cm.dim_out, cm.dim_in, *column_map_coo(cm)).to_dense()
+        for (i, j), cob in cube.edges.items():
+            dims = 1 << cube.circle_count(j), 1 << cube.circle_count(i)
+            blocks[(i, j)] = F2Matrix.from_coo(*dims, *maps[id(cob)]).to_dense()
         face = naive_face_check(cube.n, blocks)
         if face is not None:
             i, a, b = face
@@ -353,15 +377,13 @@ def test_q_check_catches_shifted_entry(monkeypatch):
     original = tqft._edge_columns
     state = {"hit": False}
 
-    def shifted(space_i, space_j, cob, *memo):
-        cm = original(space_i, space_j, cob, *memo)
+    def shifted(vertex_i, vertex_j, cob, *memo):
+        ri, ci = original(vertex_i, vertex_j, cob, *memo)
         if not state["hit"]:
             state["hit"] = True
-            col = int(np.flatnonzero(cm.terms >= 1)[-1])
-            out_a = cm.out_a.copy()
-            out_a[col] ^= 1
-            return tqft._ColumnMap(cm.dim_in, cm.dim_out, out_a, cm.out_b, cm.terms)
-        return cm
+            ri = ri.copy()
+            ri[first_entries(ci)[-1]] ^= 1  # the last column with an entry
+        return ri, ci
 
     monkeypatch.setattr(tqft, "_edge_columns", shifted)
     for word, faces in (("s2", True), ("s2 s1^-1 s2", False)):
@@ -369,6 +391,43 @@ def test_q_check_catches_shifted_entry(monkeypatch):
         with pytest.raises(ConsistencyError, match="does not preserve q"):
             assemble_complex(cube_of(word, 4), check_faces=faces)
         assert state["hit"]
+
+
+def test_q_witness_is_lowest_source_then_target(monkeypatch):
+    """Every entry of one column of a vertex is moved to another q on each
+    edge out of it, both entries of a split's column included.  The edge
+    named is the one to the lowest target out of the lowest source, however
+    the entries are gathered: as built, or with the edges and each table's
+    entries reversed."""
+    cube = cube_of("s2 s1^-1 s2 s2", 4)
+    order = sorted(cube.vertices, key=lambda v: (cube.weight(v), v))
+    start = dict(zip(order, np.cumsum([0] + [1 << cube.circle_count(v) for v in order])))
+    # the lowest vertex with a split out of it, and a column with two entries there
+    source = next(v for v in order if any(i == v and isinstance(c, Split) for (i, _), c in cube.edges.items()))
+    out = {j: cob for (i, j), cob in cube.edges.items() if i == source}
+    tables = {j: tqft._edge_columns(cube.vertices[source], cube.vertices[j], cob) for j, cob in out.items()}
+    split = next(j for j, cob in out.items() if isinstance(cob, Split))
+    col = int(np.flatnonzero(np.bincount(tables[split][1]) == 2)[0])
+    hit = sorted(j for j, (_, ci) in tables.items() if col in ci)
+    assert len(hit) >= 2
+    original = tqft._edge_columns
+
+    def moved(vertex_i, vertex_j, cob, *memo):
+        ri, ci = original(vertex_i, vertex_j, cob, *memo)
+        if any(cob is c for c in out.values()):
+            ri = ri.copy()
+            ri[ci == col] ^= 1  # the last circle, 1 for X or back: q moves by 2
+        return (ri[::-1], ci[::-1]) if reverse else (ri, ci)
+
+    monkeypatch.setattr(tqft, "_edge_columns", moved)
+    messages = set()
+    for reverse in (False, True):
+        edges = dict(reversed(cube.edges.items())) if reverse else cube.edges
+        with pytest.raises(ConsistencyError, match="does not preserve q") as err:
+            assemble_complex(dataclasses.replace(cube, edges=edges), check_faces=False)
+        messages.add(str(err.value))
+    edge = f"{cube.bitstring(source)}->{cube.bitstring(hit[0])}"
+    assert messages == {f"edge {edge} does not preserve q at generator {start[source] + col}"}
 
 
 # every planar pairing of 4 and 6 strands, 0-based
@@ -431,17 +490,17 @@ def test_reduced_ranks_are_checked(monkeypatch):
     original = tqft._edge_columns
     state = {"hit": False}
 
-    def leaving(space_i, space_j, cob, *memo):
-        cm = original(space_i, space_j, cob, *memo)
-        top = space_j.dim >> 1  # circle 0's bit in the target
-        low = ~cm.out_a & (cm.out_a + 1)  # the last circle carrying 1
-        cols = np.flatnonzero((cm.terms >= 1) & (np.arange(cm.dim_in) >= space_i.dim >> 1) & (low < top))
-        if not state["hit"] and cols.size:
+    def leaving(vertex_i, vertex_j, cob, *memo):
+        ri, ci = original(vertex_i, vertex_j, cob, *memo)
+        top = 1 << vertex_j.count - 1  # circle 0's bit in the target
+        first = first_entries(ci)
+        low = ~ri[first] & (ri[first] + 1)  # the last circle carrying 1
+        at = np.flatnonzero((ci[first] >= 1 << vertex_i.count - 1) & (low < top))
+        if not state["hit"] and at.size:
             state["hit"] = True
-            out_a = cm.out_a.copy()
-            out_a[cols[0]] ^= top | low[cols[0]]
-            return tqft._ColumnMap(cm.dim_in, cm.dim_out, out_a, cm.out_b, cm.terms)
-        return cm
+            ri = ri.copy()
+            ri[first[at[0]]] ^= top | low[at[0]]
+        return ri, ci
 
     monkeypatch.setattr(tqft, "_edge_columns", leaving)
     for word in ("s2 s2 s2", "s2 s1^-1 s2", "s1 s2 s1"):
@@ -482,7 +541,7 @@ def test_to_filtered_shape():
     cube = cc.cube
     for w in fc.weight_values:
         lo, hi = fc.block_range(w)
-        ends = sorted((cc.offsets[v], cc.offsets[v] + cc.spaces[v].dim)
+        ends = sorted((cc.offsets[v], cc.offsets[v] + (1 << cube.circle_count(v)))
                       for v in cube.vertices if cube.weight(v) == w)
         assert ends[0][0] == 0 and ends[-1][1] == hi - lo
         assert all(a[1] == b[0] for a, b in zip(ends, ends[1:]))
@@ -607,6 +666,38 @@ def test_no_dense_weight_block_is_built(monkeypatch):
     assert peak < 8 * sum(words) == 8_507_664
 
 
+def test_q_moving_table_cuts_whole_blocks(monkeypatch):
+    """A higher-maps table with an entry that moves q puts D∘D in one grade,
+    so loading it cuts every (1, w) block of 4-strand s2^8 whole: its widest
+    part is the widest block, 1,792 columns, and the guard's dense size of
+    the (1, w) blocks is what covers it."""
+    cube = cube_of(" ".join(["s2"] * 8), 4)
+    fc = assemble_complex(cube).to_filtered()
+    # a shift-2 entry into the top weight, from a generator that D hits from nowhere, so D∘D stays 0
+    w = fc.weight_values[-3]
+    (lo, hi), (t_lo, t_hi) = fc.block_range(w), fc.block_range(w + 2)
+    g = next(g for g in range(hi - lo) if g not in set(fc.blocks[(1, w - 1)].ri.tolist()))
+    t = next(t for t in range(t_hi - t_lo) if fc.q[t_lo + t] != fc.q[lo + g])
+    sizes = []
+    original = F2Matrix.from_coo.__func__
+
+    def recording(cls, rows, cols, ri, ci):
+        sizes.append((rows * 8 * -(-cols // 64), rows, cols))
+        return original(cls, rows, cols, ri, ci)
+
+    monkeypatch.setattr(F2Matrix, "from_coo", classmethod(recording))
+    loaded = load_higher_maps(fc, {(2, w): F2Coo(t_hi - t_lo, hi - lo, [t], [g])})
+    assert not loaded._graded_by_q() and fc._graded_by_q()
+    (_, widest), blk = max(fc.blocks.items(), key=lambda item: item[1].cols)
+    nbytes, rows, cols = max(sizes)
+    assert (rows, cols) == blk.shape and cols == 1792
+    assert nbytes == max(b.rows * 8 * -(-b.cols // 64) for b in fc.blocks.values())
+    tqft._check_block_bytes(cube)
+    monkeypatch.setattr(tqft, "MAX_BLOCK_BYTES", nbytes - 1)
+    with pytest.raises(ValueError, match=f"the differential block out of weight {widest} needs"):
+        tqft._check_block_bytes(cube)
+
+
 def test_face_named_at_lowest_failing_generator(monkeypatch):
     """Faces fail at two weights, the lower-weight ones at higher vertex
     integers: the face named sits at the lowest failing generator in
@@ -617,20 +708,22 @@ def test_face_named_at_lowest_failing_generator(monkeypatch):
     original = tqft._edge_columns
     maps = {}
 
-    def tampered(space_i, space_j, cob, *memo):
-        cm = original(space_i, space_j, cob, *memo)
+    def tampered(vertex_i, vertex_j, cob, *memo):
+        ri, ci = original(vertex_i, vertex_j, cob, *memo)
         if any(cob is t for t in targets):
-            cm = tqft._ColumnMap(cm.dim_in, cm.dim_out, (cm.out_a + 1) % cm.dim_out, cm.out_b, cm.terms)
-        maps[id(cob)] = cm
-        return cm
+            first = first_entries(ci)
+            ri = ri.copy()
+            ri[first] = (ri[first] + 1) % (1 << vertex_j.count)
+        maps[id(cob)] = ri, ci
+        return ri, ci
 
     monkeypatch.setattr(tqft, "_edge_columns", tampered)
     with pytest.raises(ConsistencyError) as err:
         assemble_complex(cube)
     blocks = {}
-    for edge, cob in cube.edges.items():
-        cm = maps[id(cob)]
-        blocks[edge] = F2Matrix.from_coo(cm.dim_out, cm.dim_in, *column_map_coo(cm)).to_dense()
+    for (i, j), cob in cube.edges.items():
+        dims = 1 << cube.circle_count(j), 1 << cube.circle_count(i)
+        blocks[(i, j)] = F2Matrix.from_coo(*dims, *maps[id(cob)]).to_dense()
     failing = naive_failing_faces(cube.n, blocks)
     assert naive_face_check(cube.n, blocks) == failing[0]
     lowest = min(v for v, _, _ in failing)
