@@ -77,10 +77,10 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
     The result is keyed (r, source weight) like ``FilteredComplex.blocks``;
     an entry given twice cancels.
     """
-    tokens = []
-    for line in text.splitlines():
-        body = line.split("#", 1)[0]
-        tokens.extend(body.split())
+    if "#" in text:
+        tokens = [tok for line in text.splitlines() for tok in line.split("#", 1)[0].split()]
+    else:  # every line break is whitespace to split()
+        tokens = text.split()
     n_twists = cc.cube.n
     coords: dict[tuple[int, int], tuple[list[np.ndarray], list[np.ndarray]]] = {}
     pos = 0
@@ -108,8 +108,7 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
                 raise ValueError(
                     f"higher-maps table: {name} bitstring {bits!r} is not {n_twists} binary digits"
                 )
-        src = sum(1 << i for i, ch in enumerate(src_bits) if ch == "1")
-        tgt = sum(1 << i for i, ch in enumerate(tgt_bits) if ch == "1")
+        src, tgt = (int(bits[::-1], 2) if bits else 0 for bits in (src_bits, tgt_bits))
         shift = cc.cube.weight(tgt) - cc.cube.weight(src)
         if shift != r:
             raise ValueError(
@@ -118,14 +117,13 @@ def parse_higher_maps_text(text: str, cc: ChainComplexF2) -> dict[tuple[int, int
         rows, cols = 1 << cc.cube.circle_count(tgt), 1 << cc.cube.circle_count(src)
         block = tokens[pos : pos + rows]
         pos += rows
-        for row in block:  # a bad row is reported before the table's end
-            if len(row) != cols or row.strip("01"):
-                raise ValueError(
-                    f"higher-maps table: row {row!r} is not {cols} binary digits"
-                )
+        digits = "".join(block)
+        if digits.strip("01") or {*map(len, block)} - {cols}:  # a bad row is reported before the table's end
+            row = next(row for row in block if len(row) != cols or row.strip("01"))
+            raise ValueError(f"higher-maps table: row {row!r} is not {cols} binary digits")
         if len(block) < rows:
             raise ended(f"row {len(block)} of block {src_bits}->{tgt_bits}")
-        ones = np.frombuffer("".join(block).encode("ascii"), dtype=np.uint8) == ord("1")
+        ones = np.frombuffer(digits.encode("ascii"), dtype=np.uint8) == ord("1")
         q, p = np.divmod(np.flatnonzero(ones), cols)
         ri, ci = coords.setdefault((r, cc.cube.weight(src)), ([], []))
         ri.append(cc.offsets[tgt] + q)
@@ -223,6 +221,7 @@ def run(
         expected = 2 * gd.determinant * (2 if aux_unknot else 1)
         match = (e2["total"] == expected) if e2 is not None else None
 
+    bits = cube.bitstrings()
     report = {
         "schema_version": SCHEMA_VERSION,
         "input": {
@@ -244,10 +243,10 @@ def run(
             "n_minus": ts.n_minus,
         },
         "vertices": {
-            "count": len(cube.vertices),
+            "count": cube.counts.size,
             "total_dim": cc.filtered.n,
-            "circle_counts": {cube.bitstring(v): cube.circle_count(v) for v in sorted(cube.vertices)},
-            "weights": {cube.bitstring(v): cube.weight(v) for v in sorted(cube.vertices)},
+            "circle_counts": dict(zip(bits, cube.counts.tolist())),
+            "weights": dict(zip(bits, cube.weights.tolist())),
         },
         "e1": e1,
         "e2": e2,

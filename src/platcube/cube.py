@@ -19,21 +19,23 @@ below the caps.  The cups, the caps and the vertical joints beside each
 twist are the same at every vertex, so they are joined once.  A component
 of that forest that meets no twist port is a closed circle, a spectator at
 every vertex; each other component becomes one node.  The vertices are
-then resolved depth-first over the twists, from the last to the first,
-each twist joining its nodes by its two vertical joints (identity) or by
-its cup and cap (cup-cap): a choice of the higher twists that many
-vertices share is joined once, and the vertices come in ascending order.
-Untouched circles of adjacent vertices carry the same segment set, hence
-literally the same label: an edge is a merge or a split when these
-spectators match and its twist's four port segments lie on two circles on
-one side and on one on the other.
+then resolved all at once, as a matrix of node labels with one column
+each, doubled once per twist: one copy of the columns so far takes the
+twist's joins at bit 0, by its two vertical joints (identity) or by its
+cup and cap (cup-cap), the other its joins at bit 1.  The edges are then
+classified together from each vertex's circles as a node mask.  Untouched
+circles of adjacent vertices carry the same segment set, hence literally
+the same label: an edge is a merge or a split when these spectators match
+and its twist's four port segments lie on two circles on one side and on
+one on the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+
+import numpy as np
 
 from .tangle import BraidWord, PlatClosure, _UnionFind
 
@@ -53,10 +55,12 @@ __all__ = [
 IDENTITY = "identity"
 CUPCAP = "cupcap"
 
-# build_cube resolves all 2^N vertices in Python: 16 twists take 4-5 s and 169 MB
-# on a 2-core box, each twist doubles both, and the complex (>= 2^(N+1) generators)
-# is then far past what the block ranks reduce, so longer words are refused at once.
+# build_cube resolves 2^N vertices as arrays: 16 twists take 0.23-0.28 s and a traced peak
+# of 33 MiB on a 2-core box (68 MB for the whole refused run), each twist doubles both, and the
+# complex (>= 2^(N+1) generators) is then far past what the block ranks reduce, so longer words
+# are refused at once.
 MAX_TWISTS = 16
+_EDGE_SLICE = 1 << 16  # edges build_cube classifies together: their uint64 arrays stay a few MiB
 
 # A (1, w) block of the differential held densely, one bit per entry, would need
 # 213 MiB for the largest of 4-strand s2^11, 1.7 GiB at s2^12 and 1 GiB for one
@@ -139,13 +143,33 @@ class Split:
     targets: tuple[int, int]
 
 
+def _vertex_bits(n: int) -> np.ndarray:
+    """The 2^n × n int32 matrix whose row v holds the bits of vertex v, bit 0 first."""
+    return np.indices((2,) * n, dtype=np.int32).reshape(n, 1 << n)[::-1].T.copy()
+
+
 @dataclass(frozen=True, eq=False)
 class ResolutionCube:
+    """The resolved cube as arrays.  Node k is the component of fixed arcs
+    on a twist port whose least segment is touched[k]; bit k of masks[v] is
+    set when it labels a circle of vertex v.  Edge e, by source and then
+    axis, goes from edge_sources[e] to edge_targets[e] and is a merge if
+    edge_merges[e]; edge_bits[e] are the bits of its active circles in the
+    basis indices: a merge's sources, lower label first, and target, or a
+    split's source and targets.  vertices and edges are built when read."""
+
     strands: int
     twists: TwistSequence
     plat: PlatClosure
-    vertices: dict[int, CubeVertex]
-    edges: dict[tuple[int, int], Merge | Split]
+    touched: tuple[int, ...]
+    spectators: tuple[int, ...]
+    masks: np.ndarray
+    counts: np.ndarray
+    weights: np.ndarray
+    edge_sources: np.ndarray
+    edge_targets: np.ndarray
+    edge_merges: np.ndarray
+    edge_bits: np.ndarray
 
     @property
     def n(self) -> int:
@@ -156,17 +180,56 @@ class ResolutionCube:
         return self.twists.n_minus
 
     def weight(self, vertex: int) -> int:
-        return vertex.bit_count() - self.n_minus
+        return int(self.weights[vertex])
 
     def circle_count(self, vertex: int) -> int:
-        return self.vertices[vertex].count
+        return int(self.counts[vertex])
 
     def bitstring(self, vertex: int) -> str:
         return "".join("1" if vertex >> i & 1 else "0" for i in range(self.n))
 
+    def bitstrings(self) -> list[str]:
+        """Every vertex's bitstring, in vertex order."""
+        if not self.n:
+            return [""]
+        return (_vertex_bits(self.n) | ord("0")).view(f"U{self.n}")[:, 0].tolist()
+
+    @cached_property
+    def vertices(self) -> dict[int, CubeVertex]:
+        nodes = range(len(self.touched))
+        return {
+            v: CubeVertex(tuple(sorted([*self.spectators, *(self.touched[k] for k in nodes if mask >> k & 1)])))
+            for v, mask in enumerate(self.masks.tolist())
+        }
+
+    @cached_property
+    def edges(self) -> dict[tuple[int, int], Merge | Split]:
+        edges = {}
+        arrays = self.edge_sources, self.edge_targets, self.edge_merges, self.edge_bits
+        for i, j, merge, (a, b, c) in zip(*(x.tolist() for x in arrays)):
+            ci, cj = self.vertices[i].circles, self.vertices[j].circles  # bit b is circle ~b
+            edges[(i, j)] = Merge((ci[~a], ci[~b]), cj[~c]) if merge else Split(ci[~a], (cj[~b], cj[~c]))
+        return edges
+
 
 class ConsistencyError(RuntimeError):
     """An internal invariant failed; signals a bug, not bad input."""
+
+
+def _resolve(joins: np.ndarray, nodes: int) -> np.ndarray:
+    """Column v holds, for each node, the least node on its circle at vertex
+    v.  At twist t the columns so far, the vertices below 2^t, are doubled:
+    rows 2k and 2k + 1 are node k at bit 0 and bit 1, and joins[t, j] are
+    the rows of the ends of the j-th join.  A join relabels the higher of
+    its ends' labels with the lower, so the order of the joins is free."""
+    labels = np.array(range(nodes), dtype=np.int8)[:, None]
+    for twist in joins:
+        labels = np.concatenate([labels, labels], axis=1)
+        rows, halves = labels.reshape(2 * nodes, -1), labels.reshape(nodes, 2, -1)
+        for pair in twist:
+            a, b = rows.take(pair, axis=0)
+            np.copyto(halves, np.minimum(a, b), where=halves == np.maximum(a, b))
+    return labels
 
 
 def build_cube(
@@ -218,8 +281,11 @@ def build_cube(
     touched = sorted({fixed.parent[p] for twist in ports for p in twist})
     spectators = sorted(roots.difference(touched))
     node = {r: k for k, r in enumerate(touched)}
-    ports = [tuple(node[fixed.parent[p]] for p in twist) for twist in ports]
-    joins = [[[(node[fixed.parent[a]], node[fixed.parent[b]]) for a, b in bit] for bit in twist] for twist in joins]
+    ports = np.array([node[fixed.parent[p]] for twist in ports for p in twist], dtype=np.intp).reshape(n_twists, 4)
+    # joins[t, j, end, bit]: the row in _resolve of one end of twist t's j-th join at that bit
+    joins = [
+        2 * node[fixed.parent[twist[bit][j][end]]] + bit for twist in joins for j in (0, 1) for end in (0, 1) for bit in (0, 1)
+    ]
     # each vertex has the F spectators and a circle on the ports: 2^(N + F + 1) generators or more
     least = n_twists + len(spectators) + 1
     if n_twists and _assembly_bytes(1 << least, n_twists) > MAX_BLOCK_BYTES:
@@ -229,51 +295,45 @@ def build_cube(
             f"{MAX_BLOCK_BYTES >> 20} MiB"
         )
 
-    # Depth-first from the last twist down, so the vertices come in ascending order and each
-    # shared choice of the higher twists is joined once.  A vertex keeps its nodes' labels as a
-    # list, never changed once made: a join that merges nothing hands the same list on.  For
-    # memory: lists, since CPython keeps up to 2,000 freed tuples of each length below 20.
-    vertices, labels = {}, []
+    labels = _resolve(np.array(joins, dtype=np.intp).reshape(n_twists, 2, 2, 2), len(touched))
+    # at most 4 nodes a twist, so bit k of one uint64 stands for node k; the labels are the circles
+    node_bit = np.left_shift(1, np.array(range(len(touched)), dtype=np.uint64))
+    masks = np.bitwise_or.reduce(node_bit[labels], axis=0)
+    counts = np.add(np.bitwise_count(masks), len(spectators), dtype=np.int64)
+    bits = _vertex_bits(n_twists)
+    weights = np.add.reduce(bits, axis=1, dtype=np.int64) - ts.n_minus
 
-    def resolve(twist: int, label: list[int], vertex: int) -> None:
-        if twist < 0:
-            # for memory: tuple() of a list, which left less behind than tuple() of a generator
-            vertices[vertex] = CubeVertex(tuple(sorted([*spectators, *set(label)])))
-            labels.append(label)
-            return
-        for bit, pairs in enumerate(joins[twist]):
-            joined = label
-            for a, b in pairs:
-                lo, hi = joined[a], joined[b]
-                if lo != hi:
-                    lo, hi = min(lo, hi), max(lo, hi)
-                    joined = [lo if x == hi else x for x in joined]
-            resolve(twist - 1, joined, vertex | bit << twist)
-
-    resolve(n_twists - 1, touched, 0)
-
-    edges: dict[tuple[int, int], Merge | Split] = {}
-    port_labels = [itemgetter(*twist) for twist in ports]
-    for i, label_i in enumerate(labels):
-        circles_i = set(vertices[i].circles)
-        for axis, at_ports in enumerate(port_labels):
-            if i >> axis & 1:
-                continue
-            j = i | 1 << axis
-            active_i, active_j = set(at_ports(label_i)), set(at_ports(labels[j]))
-            kept = circles_i - active_i == set(vertices[j].circles) - active_j
-            # kept spectators and 2 -> 1 or 1 -> 2 active circles (1 to 4 a side): the count changes by one
-            if not kept or len(active_i) + len(active_j) != 3:
-                raise ConsistencyError(
-                    f"edge {i:#x}->{j:#x}: {len(active_i)} -> {len(active_j)} circles at the twist, "
-                    f"spectators {'kept' if kept else 'changed'}"
-                )
-            if len(active_i) == 2:
-                edges[(i, j)] = Merge(tuple(sorted(active_i)), *active_j)
-            else:
-                edges[(i, j)] = Split(*active_i, tuple(sorted(active_j)))
-        labels[i] = None  # no later edge starts or ends here
-    return ResolutionCube(strands, ts, plat, vertices, edges)
+    # every edge, by source and then axis, in slices (one at least) that keep its uint64 arrays small:
+    # the nodes at its twist's ports at either end, and the circles these lie on as node masks
+    source, axis = (bits == 0).nonzero()
+    ends = np.array([source, source | 1 << axis], dtype=np.int32)
+    merge, edge_bits = [], []
+    # the bit of node k's circle in vertex v's basis index counts the circles above it: the
+    # spectators above node k, and the nodes above k that label a circle of v
+    above, higher = len(spectators) - np.searchsorted(spectators, touched), ~(node_bit | node_bit - 1)
+    for part in (slice(e, e + _EDGE_SLICE) for e in range(0, max(source.size, 1), _EDGE_SLICE)):
+        end = ends[:, part]
+        at = labels[ports[axis[part]], end[..., None]]
+        active, ours = np.bitwise_or.reduce(node_bit[at], axis=2), masks[end]
+        rest = ours & ~active
+        kept, (n_i, n_j) = rest[0] == rest[1], np.bitwise_count(active)
+        # kept spectators and 2 -> 1 or 1 -> 2 active circles (1 to 4 a side): the count changes by one
+        bad = np.flatnonzero(~kept | (n_i + n_j != 3))
+        if bad.size:
+            e = bad[0]
+            raise ConsistencyError(
+                f"edge {end[0, e]:#x}->{end[1, e]:#x}: {n_i[e]} -> {n_j[e]} circles at the twist, "
+                f"spectators {'kept' if kept[e] else 'changed'}"
+            )
+        m = n_i == 2
+        k = np.array([at.min(2), at.max(2)])  # [lowest or highest, end, edge]: its nodes at the ports
+        (lo_i, lo_j), (hi_i, hi_j) = above[k] + np.bitwise_count(ours & higher[k])
+        merge.append(m)
+        edge_bits.append(np.array([lo_i, np.where(m, hi_i, lo_j), np.where(m, lo_j, hi_j)], dtype=np.int8).T)
+    return ResolutionCube(
+        strands, ts, plat, tuple(touched), tuple(spectators), masks, counts, weights,
+        *ends, np.concatenate(merge), np.concatenate(edge_bits),
+    )
 
 
 def add_aux_unknot(strands: int, plat: PlatClosure) -> tuple[int, PlatClosure]:

@@ -54,7 +54,7 @@ from operator import gt
 
 import numpy as np
 
-from .cube import ConsistencyError
+from .cube import MAX_BLOCK_BYTES, ConsistencyError
 from .f2linalg import _WORD, F2Coo, F2Matrix, _set_bits, kernel_basis, matmul, rank
 
 __all__ = [
@@ -425,6 +425,12 @@ def _cycle_dims(fc: FilteredComplex) -> Callable[[int, int], int]:
             return hi - lo
         if end == w + 2:  # only the (1, w) block acts
             return hi - lo - d1[w]
+        n = fc.low_index(end) - lo
+        if _window_bytes(n) > MAX_BLOCK_BYTES:
+            raise ValueError(
+                f"the page window of weights [{w}, {end}) has {n} generators and needs "
+                f"{_window_bytes(n) / 2**20:.0f} MiB, over the limit of {MAX_BLOCK_BYTES >> 20} MiB"
+            )
         ker = kernel_basis(fc.window(w, end)).basis
         return rank(F2Matrix.from_dense(ker.to_dense()[:, : hi - lo]))
 
@@ -434,6 +440,13 @@ def _cycle_dims(fc: FilteredComplex) -> Callable[[int, int], int]:
         return window_dim(w, fc.weights[top - 1] + 1)
 
     return z
+
+
+def _window_bytes(n: int) -> int:
+    """At most what a page window of n generators holds at once: 4 dense uint8
+    arrays of its padded rows, into which ``kernel_basis`` spreads the kernel
+    (a traced peak of 16 to 28 times the packed rows, an eighth of one)."""
+    return 4 * n * _WORD * -(-n // _WORD)
 
 
 def compute_pages(fc: FilteredComplex, r_max: int | None = None) -> SpectralPages:

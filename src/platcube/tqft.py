@@ -5,10 +5,12 @@ sends 1 to 1(x)X + X(x)1 and X to X(x)X.  A cube vertex with c circles
 carries the c-fold tensor power: dimension 2^c, basis states indexed by
 assigning 1 or X to each circle.  A merge edge acts by multiplication
 on its two active circles, a split edge by comultiplication, and both
-act as the identity on every spectator circle.  ``_edge_columns`` writes
-these rules as the entries of each edge block, at most two per column.
-Those entries depend only on the edge's shape, so they are tabulated once
-per shape, in a memo that lives for one assembly.
+act as the identity on every spectator circle.  ``_shape_columns`` writes
+these rules as the entries of an edge block, at most two per column.
+Those entries depend only on the edge's shape: merge or split, the source
+circle count, and the bits of its active circles, which the cube holds
+per edge.  Assembly packs each edge's shape into one integer key and
+tabulates each distinct key once; the tables live for one assembly.
 
 Basis order: circles in ascending label order, the first circle most
 significant, and 1 before X in each factor.  So index 0 is all-1s and
@@ -36,16 +38,14 @@ every face of the cube commutes.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
 from . import specseq
-from .cube import MAX_BLOCK_BYTES, ConsistencyError, CubeVertex, Merge, ResolutionCube, Split, _assembly_bytes
+from .cube import MAX_BLOCK_BYTES, ConsistencyError, ResolutionCube, _assembly_bytes
 from .f2linalg import F2Coo
 from .specseq import FilteredComplex
 
@@ -55,17 +55,6 @@ __all__ = [
 ]
 
 
-def _edge_columns(vertex_i: CubeVertex, vertex_j: CubeVertex, cob: Merge | Split, shape_columns=None):
-    """The (row, column) entries of one edge block: the read-only table of
-    its shape, from shape_columns, an assembly's memo of ``_shape_columns``,
-    when given.  A circle's bit in a basis index counts from the last circle."""
-    merge = isinstance(cob, Merge)
-    active_in, active_out = (cob.sources, (cob.target,)) if merge else ((cob.source,), cob.targets)
-    bits_in = tuple(vertex_i.count - 1 - vertex_i.circles.index(c) for c in active_in)
-    bits_out = tuple(vertex_j.count - 1 - vertex_j.circles.index(c) for c in active_out)
-    return (shape_columns or _shape_columns)(merge, vertex_i.count, bits_in, bits_out)
-
-
 def _shape_columns(merge: bool, count: int, bits_in: tuple[int, ...], bits_out: tuple[int, ...]):
     """The (row, column) entries of every edge of one shape: a merge or a
     split out of count circles, whose active circles sit at bits_in of the
@@ -73,31 +62,36 @@ def _shape_columns(merge: bool, count: int, bits_in: tuple[int, ...], bits_out: 
     ascending label order, so the spectators keep their relative order and
     fill the other bits in turn.
 
-    ``_weight_blocks`` memoizes it for one assembly, so a table lives as long
-    as that assembly; its arrays are read-only, since every edge of the shape
-    shares them.
+    ``_edge_tables`` calls it once per distinct shape of an assembly, so a
+    table lives as long as that assembly; its arrays are read-only, since
+    every edge of the shape shares them.
     """
     count_out = count - 1 if merge else count + 1
-    v = np.arange(1 << count, dtype=np.int64)
-    base = np.zeros(1 << count, dtype=np.int64)
-    spectators_in = (b for b in range(count) if b not in bits_in)
+    # each circle's bit moves to its bit in the target: the spectators in turn, a merge's two active
+    # circles both to its target (OR, as X absorbs), a split's to its first; one mask per shift
     spectators_out = (b for b in range(count_out) if b not in bits_out)
-    for bit_in, bit_out in zip(spectators_in, spectators_out):
-        base |= ((v >> bit_in) & 1) << bit_out
+    moves = {}
+    for bit_in in range(count):
+        bit_out = bits_out[0] if bit_in in bits_in else next(spectators_out)
+        moves[bit_out - bit_in] = moves.get(bit_out - bit_in, 0) | 1 << bit_in
+    v = np.arange(1 << count, dtype=np.int64)
+    ri = None
+    for shift, mask in moves.items():
+        part = v & mask
+        part = part << shift if shift >= 0 else part >> -shift
+        ri = part if ri is None else ri | part
 
     if merge:
-        va, vb = ((v >> b) & 1 for b in bits_in)
-        ci = np.flatnonzero((va & vb) == 0)  # X.X = 0; otherwise X absorbs
-        ri = (base | ((va | vb) << bits_out[0]))[ci]
+        both = (1 << bits_in[0]) | (1 << bits_in[1])
+        ci = ((v & both) != both).nonzero()[0]  # X.X = 0
+        ri = ri[ci]
     else:
-        vc = (v >> bits_in[0]) & 1
-        one = np.flatnonzero(vc == 0)
-        bit_a, bit_b = bits_out
         # X -> X(x)X in every column, and 1 -> 1(x)X + X(x)1 gives a second row
-        ri = np.concatenate([base | (vc << bit_a) | (1 << bit_b), base[one] | (1 << bit_a)])
+        ri |= 1 << bits_out[1]
+        one = (v & 1 << bits_in[0] == 0).nonzero()[0]
+        ri = np.concatenate([ri, ri[one] ^ (1 << bits_out[0] | 1 << bits_out[1])])
         ci = np.concatenate([v, one])
-    for arr in (ri, ci):
-        arr.flags.writeable = False
+    ri.flags.writeable = ci.flags.writeable = False
     return ri, ci
 
 
@@ -105,14 +99,14 @@ def _shape_columns(merge: bool, count: int, bits_in: tuple[int, ...], bits_out: 
 class ChainComplexF2:
     """Total cube complex: the filtered complex and where its generators sit in the cube.
 
-    offsets places each vertex inside its weight block.  filtered holds the
+    offsets[v] places vertex v inside its weight block.  filtered holds the
     generator weights, the blocks keyed (1, source weight), each
     generator's quantum grading q, which every block preserves, and the
     mark of the generators whose circle 0 carries X.
     """
 
     cube: ResolutionCube
-    offsets: dict[int, int]
+    offsets: np.ndarray
     filtered: FilteredComplex
 
     def to_filtered(self) -> FilteredComplex:
@@ -129,7 +123,7 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
     bounds that check.
 
     Assembly holds at most 4 int64 per generator (q, the mark and the index
-    arithmetic that makes them, later q, the mark and the weights) and 9 per
+    arithmetic that makes them, later q, the mark and the weights) and 10 per
     generator and cube axis, under the 13 that ``_assembly_bytes`` counts.
     The shape tables have at most 1.5 entries per column (a split's column
     with 1 on the split circle has two, a merge's at most one), a row and a
@@ -139,12 +133,16 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
     times the axes, the gather holds at most 4 arrays of its 1.5 E entries
     (the index into the laid tables, the rows, the columns and one repeated
     offset), then the q test and ``F2Coo`` 2 more beside the rows and
-    columns: 6 E.  Sizes come from the circle counts alone, so nothing is
-    allocated.
+    columns: 6 E.  Each edge's weight, offsets and table, 4 int64, add at
+    most 1 more, since a vertex has 2 generators or more and N / 2
+    edges out.  Sizes come from the circle counts alone, in Python ints, as
+    a count can pass 63, so nothing per generator is allocated.
     """
+    low, top = int(cube.weights.min()), int(cube.counts.max()) + 1
+    pairs = np.bincount((cube.weights - low) * top + cube.counts)  # vertices per (weight, circle count)
     size = Counter()  # generators per weight
-    for v, vertex in cube.vertices.items():
-        size[cube.weight(v)] += 1 << vertex.count
+    for k in np.flatnonzero(pairs).tolist():
+        size[low + k // top] += int(pairs[k]) << k % top
     nbytes, w = max((size[w + 1] * 8 * -(-size[w] // 64), w) for w in size)
     if nbytes > MAX_BLOCK_BYTES:
         raise ValueError(
@@ -160,27 +158,39 @@ def _check_block_bytes(cube: ResolutionCube) -> None:
         )
 
 
+def _edge_tables(cube: ResolutionCube) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The distinct shape tables, one ``_shape_columns`` call each, and per
+    edge in the cube's order its (source, target, index of its table).  An
+    edge's shape is packed into one int64, a byte a field: merge, the
+    source's circle count (the spectators and at most 4N nodes, under 256
+    within the guard of ``build_cube``) and the three bits of edge_bits."""
+    key = cube.edge_merges.astype(np.int64) << 8 | cube.counts[cube.edge_sources]
+    for b in cube.edge_bits.T:
+        key = key << 8 | b
+    keys, table = np.unique(key, return_inverse=True)
+    tables = []
+    for key in keys.tolist():
+        merge, count, *bits = (key >> s & 255 for s in (32, 24, 16, 8, 0))
+        cut = 2 if merge else 1  # a merge has two circles in, a split one
+        tables.append(_shape_columns(bool(merge), count, tuple(bits[:cut]), tuple(bits[cut:])))
+    return tables, np.array([cube.edge_sources, cube.edge_targets, table.ravel()]).T
+
+
 def _weight_blocks(cube, offsets, low, size, q) -> tuple[dict, tuple[int, int] | None]:
     """The (1, w) blocks, as their entries, and the (source, target)
     generators of the entry moving q with the lowest source, then the lowest
     target.  The edges' tables are laid end to end, and each block's entries
     are gathered from them with one index, one source weight at a time."""
-    tables, index, edges = [], {}, []  # distinct tables; id -> position; weight, offsets and table per edge
-    shape_columns = cache(_shape_columns)  # this assembly's tables, one per shape
-    for (i, j), cob in cube.edges.items():
-        table = _edge_columns(cube.vertices[i], cube.vertices[j], cob, shape_columns)
-        if id(table) not in index:
-            index[id(table)] = len(tables)
-            tables.append(table)
-        edges += cube.weight(i), offsets[i], offsets[j], index[id(table)]
+    tables, edges = _edge_tables(cube)
     blocks, moved = {}, None
     if not tables:
         return blocks, moved
-    edges = np.array(edges).reshape(-1, 4)
     nnz = np.array([ri.size for ri, _ in tables])
     first = np.cumsum(nnz) - nnz  # where each table's entries start, end to end
     rows, cols = (np.concatenate(arrays) for arrays in zip(*tables))
-    del tables, shape_columns  # the laid copies are all that is read from here on
+    del tables  # the laid copies are all that is read from here on
+    # weight, offsets and table per edge, from (source, target, table)
+    edges = np.array([cube.weights[edges[:, 0]], offsets[edges[:, 0]], offsets[edges[:, 1]], edges[:, 2]]).T
     for w in sorted(size)[:-1]:  # every weight below the top has edges out
         _, off_i, off_j, table = edges[edges[:, 0] == w].T
         counts = nnz[table]
@@ -215,31 +225,31 @@ def assemble_complex(cube: ResolutionCube, check_faces: bool = True) -> ChainCom
     ValueError before any array is allocated.
     """
     _check_block_bytes(cube)
-    order = sorted(cube.vertices, key=lambda v: (cube.weight(v), v))
-    dims = [1 << cube.vertices[v].count for v in order]
-    starts = [0, *accumulate(dims)]  # vertex order[k] holds generators [starts[k], starts[k + 1])
-    n, size, low, offsets = starts[-1], Counter(), {}, {}
-    for v, start, dim in zip(order, starts, dims):
-        w = cube.weight(v)
-        low.setdefault(w, start)
-        offsets[v] = start - low[w]
-        size[w] += dim
-    local = np.arange(n)
+    order = np.argsort(cube.weights, kind="stable")  # by weight, then vertex
+    weights, dims = cube.weights[order], 1 << cube.counts[order]
+    starts = np.concatenate([[0], np.cumsum(dims)])  # vertex order[k] holds generators [starts[k], starts[k + 1])
+    # vertices per weight, from vertex 0's, the lowest: every weight up to N more has some
+    per = np.bincount(weights - weights[0])
+    first = np.cumsum(per) - per
+    values = range(int(weights[0]), int(weights[0]) + per.size)
+    low = dict(zip(values, starts[first].tolist()))
+    size = dict(zip(values, (starts[first + per] - starts[first]).tolist()))
+    offsets = np.empty_like(dims)
+    offsets[order] = starts[:-1] - np.repeat(starts[first], per)  # each vertex's start inside its weight block
+    local = np.arange(starts[-1])
     local -= np.repeat(starts[:-1], dims)
     # circle 0 is the top bit of a local index: X there in the upper half of each vertex
-    mark = local >= np.repeat([d // 2 for d in dims], dims)
+    mark = local >= np.repeat(dims // 2, dims)
     # q = c - 2 #X + weight; index bit 1 is X, so a local index's popcount counts the X factors
-    base = [cube.vertices[v].count + cube.weight(v) for v in order]
-    q = np.repeat(base, dims) - 2 * np.bitwise_count(local)
+    q = np.repeat(cube.counts[order] + weights, dims) - 2 * np.bitwise_count(local)
     del local  # before the blocks are gathered
 
     blocks, moved = _weight_blocks(cube, offsets, low, size, q)
     # the weights go in as an iterator, so only the complex's own tuple holds them
-    weights = chain.from_iterable(repeat(cube.weight(v), d) for v, d in zip(order, dims))
-    fc = FilteredComplex(weights, blocks, q, mark)
+    fc = FilteredComplex(chain.from_iterable(map(repeat, weights.tolist(), dims.tolist())), blocks, q, mark)
 
     def vertex_at(g: int) -> int:
-        return order[bisect_right(starts, g) - 1]
+        return int(order[np.searchsorted(starts, g, side="right") - 1])
 
     if check_faces:
         report = specseq.verify_d_squared(fc)  # through the module, where perfbench/spans.py times it

@@ -274,6 +274,19 @@ def naive_cube_complex(positions, signs, strands, cups, caps):
     return weights, d
 
 
+def edge_shape(vertex_i, vertex_j, cob):
+    """(merge, count, bits_in, bits_out) of one edge, read from its vertices'
+    circles and its active circles one at a time: the arguments of its shape
+    table.  A circle's bit in a basis index counts from the last circle, and
+    cob is a merge when it has sources, else a split.  A circle missing from
+    its vertex raises ValueError."""
+    merge = hasattr(cob, "sources")
+    active_in, active_out = (cob.sources, (cob.target,)) if merge else ((cob.source,), cob.targets)
+    bits_in = tuple(vertex_i.count - 1 - vertex_i.circles.index(c) for c in active_in)
+    bits_out = tuple(vertex_j.count - 1 - vertex_j.circles.index(c) for c in active_out)
+    return merge, vertex_i.count, bits_in, bits_out
+
+
 def naive_face_check(n, edge_blocks):
     """The lowest non-commuting face of a cube, as (vertex, a, b), or None.
 

@@ -1,6 +1,7 @@
 """The command-line front end: reports, exit codes, file formats."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -245,7 +246,7 @@ def test_many_strand_cube_fails_fast(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a vertex was resolved")
 
-    monkeypatch.setattr("platcube.cube.CubeVertex", refuse)
+    monkeypatch.setattr("platcube.cube._resolve", refuse)
     word = " ".join(["s1"] * 16)
     pairs = ",".join(f"{i}-{i + 1}" for i in range(1, 400, 2))
     for argv, least in (
@@ -257,6 +258,23 @@ def test_many_strand_cube_fails_fast(monkeypatch, capsys):
         assert time.monotonic() - started < 1.0
         assert code == 1 and out == ""
         assert err.startswith(f"error: {argv[1]} strands and 16 twists give at least 2^{least} generators")
+
+
+def test_pipeline_builds_no_vertex_or_edge_objects(monkeypatch, capsys):
+    """The pipeline reads the cube's arrays alone: with CubeVertex, Merge and
+    Split refusing to be built, 4-strand s2^9 runs and reports the same bytes."""
+    argv = ["--strands", "4", "--word", " ".join(["s2"] * 9), "--json"]
+    plain = invoke(argv, capsys)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a per-vertex or per-edge object was built")
+
+    for name in ("CubeVertex", "Merge", "Split"):
+        monkeypatch.setattr(f"platcube.cube.{name}", refuse)
+    code, out, _ = invoke(argv, capsys)
+    assert plain[0] == code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == hashlib.sha256(plain[1].encode()).hexdigest()
+    assert json.loads(out)["e2"]["total"] == 18
 
 
 def test_huge_word_fails_fast(capsys):

@@ -1,6 +1,5 @@
 """Frobenius-algebra edge maps and the assembled cube differential."""
 
-import dataclasses
 import random
 import time
 import tracemalloc
@@ -33,6 +32,7 @@ from oracles import (
     MUL,
     dense_matmul,
     dense_rank,
+    edge_shape,
     graded_homology,
     naive_cube_complex,
     naive_face_check,
@@ -48,7 +48,32 @@ def cube_of(word, strands):
 def block(circles_in, circles_out, cob) -> F2Matrix:
     """One edge block, built from the entries assembly gathers."""
     vi, vj = CubeVertex(circles_in), CubeVertex(circles_out)
-    return F2Matrix.from_coo(1 << vj.count, 1 << vi.count, *tqft._edge_columns(vi, vj, cob))
+    return F2Matrix.from_coo(1 << vj.count, 1 << vi.count, *tqft._shape_columns(*edge_shape(vi, vj, cob)))
+
+
+_edge_tables = tqft._edge_tables  # unpatched, so that tampers never stack
+
+
+def tamper(monkeypatch, edit) -> list:
+    """Give an edge a tampered copy of its table as its own: edit(cube, i, j,
+    ri, ci) sees each edge (i, j) in the cube's order with its table, and
+    returns the copy, or None to leave the edge as it is.  Returns a list
+    that gets, per assembly, every edge's table as assembly reads it."""
+    used = []
+
+    def tampered(cube):
+        tables, edges = _edge_tables(cube)
+        edges = edges.copy()
+        for e, (i, j, t) in enumerate(edges.tolist()):
+            table = edit(cube, i, j, *tables[t])
+            if table is not None:
+                edges[e, 2] = len(tables)
+                tables.append(table)
+        used.append([tables[t] for t in edges[:, 2].tolist()])
+        return tables, edges
+
+    monkeypatch.setattr(tqft, "_edge_tables", tampered)
+    return used
 
 
 def first_entries(ci) -> np.ndarray:
@@ -127,7 +152,7 @@ def test_frobenius_compatibility():
 
 def shape_of(circles_in, circles_out, cob):
     """The arguments the edge's table is built from: (merge, count, bits_in, bits_out)."""
-    return tqft._edge_columns(CubeVertex(circles_in), CubeVertex(circles_out), cob, lambda *shape: shape)
+    return edge_shape(CubeVertex(circles_in), CubeVertex(circles_out), cob)
 
 
 def test_vertex_space_indexing():
@@ -204,31 +229,44 @@ def test_shape_tables_built_once(monkeypatch):
     target's circles.  Assembly builds each shape's read-only table once, and
     none outlives it."""
     cube = cube_of("s2 s2 s2 s2 s2 s2 s2 s2", 4)
-    shapes = set()
-    for (i, j), cob in cube.edges.items():
-        ci, cj = cube.vertices[i].circles, cube.vertices[j].circles
-        active_i, active_j = (cob.sources, (cob.target,)) if isinstance(cob, Merge) else ((cob.source,), cob.targets)
-        shapes.add((type(cob), len(ci), tuple(map(ci.index, active_i)), tuple(map(cj.index, active_j))))
-    original = tqft._edge_columns
-    infos, memos = [], set()
+    shapes = {edge_shape(cube.vertices[i], cube.vertices[j], cob) for (i, j), cob in cube.edges.items()}
+    original = tqft._shape_columns
+    made, tables = [], []
 
-    def spy(vertex_i, vertex_j, cob, shape_columns):
-        cm = original(vertex_i, vertex_j, cob, shape_columns)
-        assert not any(arr.flags.writeable for arr in cm)
-        infos.append(shape_columns.cache_info())
-        memos.add(weakref.ref(shape_columns))
-        return cm
+    def spy(*shape):
+        table = original(*shape)
+        assert not any(arr.flags.writeable for arr in table)
+        made.append(shape)
+        tables.extend(map(weakref.ref, table))
+        return table
 
-    monkeypatch.setattr(tqft, "_edge_columns", spy)
-    assemble_complex(cube)
-    built = infos[-1]
-    assert len(infos) == len(cube.edges) == built.hits + built.misses
-    assert built.misses == built.currsize == len(shapes) < len(cube.edges)
-    # one memo, gone with its assembly; outside one, nothing is kept
-    assert len(memos) == 1 and memos.pop()() is None
-    (i, j), cob = next(iter(cube.edges.items()))
-    vertices = cube.vertices[i], cube.vertices[j]
-    assert original(*vertices, cob) is not original(*vertices, cob)
+    monkeypatch.setattr(tqft, "_shape_columns", spy)
+    cc = assemble_complex(cube)
+    assert len(made) == len(set(made)) == len(shapes) < len(cube.edges)
+    assert set(made) == shapes
+    # gone with their assembly, although its complex lives on; outside one, nothing is kept
+    assert cc.filtered.blocks and not any(ref() for ref in tables)
+    assert original(*made[0]) is not original(*made[0])
+
+
+def test_shape_keys_match_edge_oracle(monkeypatch):
+    """The (merge, count, bits_in, bits_out) of every edge, as assembly reads
+    them from the cube's arrays packed one key an edge, equal those the oracle
+    reads off the vertices' and edges' circles: on random cubes of 2-8
+    strands and up to 10 twists, and on cubes whose vertices have 17 to 22
+    circles, 16 to 18 of them spectators."""
+    monkeypatch.setattr(tqft, "_shape_columns", lambda *shape: shape)
+    rng = random.Random(24)
+    cubes = [cube_of("s1 s3", 40), cube_of("s1^-1 s2 s1", 36), cube_of("s2", 38)]
+    for _ in range(30):
+        strands = rng.choice([2, 4, 6, 8])
+        cubes.append(build_cube(braid_to_twists(BraidWord(strands, random_letters(rng, strands, rng.randint(0, 10)))), strands))
+    assert max(cube.counts.max() for cube in cubes) > 16
+    for cube in cubes:
+        shapes, edges = tqft._edge_tables(cube)
+        assert [shapes[t] for t in edges[:, 2].tolist()] == [
+            edge_shape(cube.vertices[i], cube.vertices[j], cob) for (i, j), cob in cube.edges.items()
+        ]
 
 
 def test_spectators_tensor_factor():
@@ -302,18 +340,16 @@ def test_edge_check_catches_wrong_shape(monkeypatch):
 
 def test_face_check_catches_corruption(monkeypatch):
     """A deliberately tampered edge block must fail the face check."""
-    original = tqft._edge_columns
     state = {"hit": False}
 
-    def tampered(vertex_i, vertex_j, cob, *memo):
-        ri, ci = original(vertex_i, vertex_j, cob, *memo)
-        if not state["hit"] and vertex_i.count >= 1:
+    def tampered(cube, i, j, ri, ci):
+        if not state["hit"] and cube.circle_count(i) >= 1:
             state["hit"] = True
             ri = ri.copy()
-            ri[0] = (ri[0] + 1) % (1 << vertex_j.count)  # column 0's first entry
-        return ri, ci
+            ri[0] = (ri[0] + 1) % (1 << cube.circle_count(j))  # column 0's first entry
+            return ri, ci
 
-    monkeypatch.setattr(tqft, "_edge_columns", tampered)
+    tamper(monkeypatch, tampered)
     with pytest.raises(ConsistencyError):
         assemble_complex(cube_of("s2 s2", 4))
     assert state["hit"]
@@ -323,40 +359,36 @@ def test_face_check_matches_naive_oracle(monkeypatch):
     """One tampered column of one random edge: the single D∘D square fails
     exactly when the per-face oracle does, and names the same face."""
     rng = random.Random(9)
-    original = tqft._edge_columns
     outcomes = {"face": 0, "q": 0, "none": 0}
     for _ in range(150):
         strands = rng.choice([4, 6])
         b = BraidWord(strands, random_letters(rng, strands, rng.randint(2, 5)))
         cube = build_cube(braid_to_twists(b), strands)
-        target = cube.edges[rng.choice(sorted(cube.edges))]
-        maps = {}
+        target = rng.choice(sorted(cube.edges))
         moved = {}
 
-        def tampered(vertex_i, vertex_j, cob, *memo):
-            ri, ci = original(vertex_i, vertex_j, cob, *memo)
-            if cob is target:
-                dim_out = 1 << vertex_j.count
-                col, shift = rng.randrange(1 << vertex_i.count), rng.randrange(1, dim_out)
+        def tampered(cube, i, j, ri, ci):
+            if (i, j) == target:
+                dim_out = 1 << cube.circle_count(j)
+                col, shift = rng.randrange(1 << cube.circle_count(i)), rng.randrange(1, dim_out)
                 at = np.flatnonzero(ci == col)[:1]  # the column's first entry; none if it is killed
                 row = ri[at]
                 ri = ri.copy()
                 ri[at] = (row + shift) % dim_out
                 # an entry keeps q iff its row keeps the number of X factors
                 moved["q"] = bool(at.size) and int(ri[at][0]).bit_count() != int(row[0]).bit_count()
-            maps[id(cob)] = ri, ci
-            return ri, ci
+                return ri, ci
 
-        monkeypatch.setattr(tqft, "_edge_columns", tampered)
+        used = tamper(monkeypatch, tampered)
         try:
             assemble_complex(cube)
             err = None
         except ConsistencyError as e:
             err = str(e)
         blocks = {}
-        for (i, j), cob in cube.edges.items():
+        for (i, j), table in zip(cube.edges, used[-1]):
             dims = 1 << cube.circle_count(j), 1 << cube.circle_count(i)
-            blocks[(i, j)] = F2Matrix.from_coo(*dims, *maps[id(cob)]).to_dense()
+            blocks[(i, j)] = F2Matrix.from_coo(*dims, *table).to_dense()
         face = naive_face_check(cube.n, blocks)
         if face is not None:
             i, a, b = face
@@ -374,18 +406,16 @@ def test_face_check_matches_naive_oracle(monkeypatch):
 def test_q_check_catches_shifted_entry(monkeypatch):
     """An entry moved to another generator of the same target vertex keeps
     the weight; flipping its last circle between 1 and X changes q."""
-    original = tqft._edge_columns
     state = {"hit": False}
 
-    def shifted(vertex_i, vertex_j, cob, *memo):
-        ri, ci = original(vertex_i, vertex_j, cob, *memo)
+    def shifted(cube, i, j, ri, ci):
         if not state["hit"]:
             state["hit"] = True
             ri = ri.copy()
             ri[first_entries(ci)[-1]] ^= 1  # the last column with an entry
-        return ri, ci
+            return ri, ci
 
-    monkeypatch.setattr(tqft, "_edge_columns", shifted)
+    tamper(monkeypatch, shifted)
     for word, faces in (("s2", True), ("s2 s1^-1 s2", False)):
         state["hit"] = False
         with pytest.raises(ConsistencyError, match="does not preserve q"):
@@ -405,26 +435,29 @@ def test_q_witness_is_lowest_source_then_target(monkeypatch):
     # the lowest vertex with a split out of it, and a column with two entries there
     source = next(v for v in order if any(i == v and isinstance(c, Split) for (i, _), c in cube.edges.items()))
     out = {j: cob for (i, j), cob in cube.edges.items() if i == source}
-    tables = {j: tqft._edge_columns(cube.vertices[source], cube.vertices[j], cob) for j, cob in out.items()}
+    tables = {j: tqft._shape_columns(*edge_shape(cube.vertices[source], cube.vertices[j], cob)) for j, cob in out.items()}
     split = next(j for j, cob in out.items() if isinstance(cob, Split))
     col = int(np.flatnonzero(np.bincount(tables[split][1]) == 2)[0])
     hit = sorted(j for j, (_, ci) in tables.items() if col in ci)
     assert len(hit) >= 2
-    original = tqft._edge_columns
+    original = tqft._edge_tables
 
-    def moved(vertex_i, vertex_j, cob, *memo):
-        ri, ci = original(vertex_i, vertex_j, cob, *memo)
-        if any(cob is c for c in out.values()):
+    def moved(cube):
+        tables, edges = original(cube)
+        edges = edges.copy()
+        for e in np.flatnonzero(edges[:, 0] == source):
+            ri, ci = tables[edges[e, 2]]
             ri = ri.copy()
             ri[ci == col] ^= 1  # the last circle, 1 for X or back: q moves by 2
-        return (ri[::-1], ci[::-1]) if reverse else (ri, ci)
+            edges[e, 2] = len(tables)
+            tables.append((ri, ci))
+        return ([(ri[::-1], ci[::-1]) for ri, ci in tables], edges[::-1]) if reverse else (tables, edges)
 
-    monkeypatch.setattr(tqft, "_edge_columns", moved)
+    monkeypatch.setattr(tqft, "_edge_tables", moved)
     messages = set()
     for reverse in (False, True):
-        edges = dict(reversed(cube.edges.items())) if reverse else cube.edges
         with pytest.raises(ConsistencyError, match="does not preserve q") as err:
-            assemble_complex(dataclasses.replace(cube, edges=edges), check_faces=False)
+            assemble_complex(cube, check_faces=False)
         messages.add(str(err.value))
     edge = f"{cube.bitstring(source)}->{cube.bitstring(hit[0])}"
     assert messages == {f"edge {edge} does not preserve q at generator {start[source] + col}"}
@@ -487,22 +520,20 @@ def test_reduced_ranks_are_checked(monkeypatch):
     The tampered entry, out of a marked generator, trades X on circle 0 for X
     on another circle of the same target, so it keeps the weight and q.
     """
-    original = tqft._edge_columns
     state = {"hit": False}
 
-    def leaving(vertex_i, vertex_j, cob, *memo):
-        ri, ci = original(vertex_i, vertex_j, cob, *memo)
-        top = 1 << vertex_j.count - 1  # circle 0's bit in the target
+    def leaving(cube, i, j, ri, ci):
+        top = 1 << cube.circle_count(j) - 1  # circle 0's bit in the target
         first = first_entries(ci)
         low = ~ri[first] & (ri[first] + 1)  # the last circle carrying 1
-        at = np.flatnonzero((ci[first] >= 1 << vertex_i.count - 1) & (low < top))
+        at = np.flatnonzero((ci[first] >= 1 << cube.circle_count(i) - 1) & (low < top))
         if not state["hit"] and at.size:
             state["hit"] = True
             ri = ri.copy()
             ri[first[at[0]]] ^= top | low[at[0]]
-        return ri, ci
+            return ri, ci
 
-    monkeypatch.setattr(tqft, "_edge_columns", leaving)
+    tamper(monkeypatch, leaving)
     for word in ("s2 s2 s2", "s2 s1^-1 s2", "s1 s2 s1"):
         state["hit"] = False
         fc = assemble_complex(cube_of(word, 4), check_faces=False).to_filtered()
@@ -666,6 +697,17 @@ def test_no_dense_weight_block_is_built(monkeypatch):
     assert peak < 8 * sum(words) == 8_507_664
 
 
+def q_moving_entry(fc) -> tuple[int, int, int]:
+    """(w, t, g): a shift-2 entry into the top weight, from generator g of
+    weight w that D hits from nowhere, so D∘D stays 0, to generator t of
+    weight w + 2 at another q; t and g count inside their weight blocks."""
+    w = fc.weight_values[-3]
+    (lo, hi), (t_lo, t_hi) = fc.block_range(w), fc.block_range(w + 2)
+    g = next(g for g in range(hi - lo) if g not in set(fc.blocks[(1, w - 1)].ri.tolist()))
+    t = next(t for t in range(t_hi - t_lo) if fc.q[t_lo + t] != fc.q[lo + g])
+    return w, t, g
+
+
 def test_q_moving_table_cuts_whole_blocks(monkeypatch):
     """A higher-maps table with an entry that moves q puts D∘D in one grade,
     so loading it cuts every (1, w) block of 4-strand s2^8 whole: its widest
@@ -673,11 +715,8 @@ def test_q_moving_table_cuts_whole_blocks(monkeypatch):
     the (1, w) blocks is what covers it."""
     cube = cube_of(" ".join(["s2"] * 8), 4)
     fc = assemble_complex(cube).to_filtered()
-    # a shift-2 entry into the top weight, from a generator that D hits from nowhere, so D∘D stays 0
-    w = fc.weight_values[-3]
+    w, t, g = q_moving_entry(fc)
     (lo, hi), (t_lo, t_hi) = fc.block_range(w), fc.block_range(w + 2)
-    g = next(g for g in range(hi - lo) if g not in set(fc.blocks[(1, w - 1)].ri.tolist()))
-    t = next(t for t in range(t_hi - t_lo) if fc.q[t_lo + t] != fc.q[lo + g])
     sizes = []
     original = F2Matrix.from_coo.__func__
 
@@ -698,32 +737,84 @@ def test_q_moving_table_cuts_whole_blocks(monkeypatch):
         tqft._check_block_bytes(cube)
 
 
+def test_page_windows_are_sized(monkeypatch, tmp_path, capsys):
+    """A page window is sized before it is built, and what the guard sizes
+    bounds the traced peak of the pages: on a window whose kernel is nearly
+    all of it, and on 4-strand s2^7 with the one-entry table above, whose
+    widest window is the whole complex.  On s2^8 with that table and a limit
+    one byte under the first window the pages need, the three lowest weights,
+    the run exits 1 with an error line, and that window is not built."""
+    m = 1500
+    rank_one = FilteredComplex([0] * m + [1] * m + [2] * m, {(2, 0): F2Coo(m, m, [0], [0])})
+    fc = assemble_complex(cube_of(" ".join(["s2"] * 7), 4)).to_filtered()
+    w, t, g = q_moving_entry(fc)
+    (lo, hi), (t_lo, t_hi) = fc.block_range(w), fc.block_range(w + 2)
+    for complex_ in (rank_one, load_higher_maps(fc, {(2, w): F2Coo(t_hi - t_lo, hi - lo, [t], [g])})):
+        tracemalloc.start()
+        try:
+            pages = compute_pages(complex_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pages.stabilization == 3
+        assert peak <= specseq._window_bytes(complex_.n) + (64 << 10)
+
+    word = " ".join(["s2"] * 8)
+    cc = assemble_complex(cube_of(word, 4))
+    cube, fc = cc.cube, cc.filtered
+    w, t, g = q_moving_entry(fc)
+    # the table names the entry by its vertices and its place in their blocks
+    (src, col), (tgt, row) = (
+        next((v, x - cc.offsets[v]) for v in range(1 << cube.n)
+             if cube.weight(v) == wt and 0 <= x - cc.offsets[v] < 1 << cube.circle_count(v))
+        for wt, x in ((w, g), (w + 2, t))
+    )
+    cols = 1 << cube.circle_count(src)
+    rows = ["".join("1" if (r, c) == (row, col) else "0" for c in range(cols)) for r in range(1 << cube.circle_count(tgt))]
+    table = tmp_path / "maps.txt"
+    table.write_text(f"2 {cube.bitstring(src)} {cube.bitstring(tgt)}\n" + "\n".join(rows) + "\n")
+    sizes = []
+    original = F2Matrix.from_coo.__func__
+
+    def recording(cls, rows, cols, ri, ci):
+        sizes.append((rows, cols))
+        return original(cls, rows, cols, ri, ci)
+
+    monkeypatch.setattr(F2Matrix, "from_coo", classmethod(recording))
+    low = fc.weight_values[0]
+    n = fc.low_index(low + 3)
+    monkeypatch.setattr(specseq, "MAX_BLOCK_BYTES", specseq._window_bytes(n) - 1)
+    from platcube import cli
+
+    code = cli.main(["--strands", "4", "--word", word, "--higher-maps", str(table), "--pages", "--json"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: the page window of weights [{low}, {low + 3}) has {n} generators and needs")
+    assert sizes and (n, n) not in sizes
+
+
 def test_face_named_at_lowest_failing_generator(monkeypatch):
     """Faces fail at two weights, the lower-weight ones at higher vertex
     integers: the face named sits at the lowest failing generator in
     generator order (weight, then vertex), not at the lowest integer."""
     cube = cube_of("s2 s2 s2 s2", 4)
     # 12->13 lies on faces at 4 and 8 (weight 1), 7->15 on faces at 3, 5 and 6 (weight 2)
-    targets = [cube.edges[(12, 13)], cube.edges[(7, 15)]]
-    original = tqft._edge_columns
-    maps = {}
+    targets = [(12, 13), (7, 15)]
 
-    def tampered(vertex_i, vertex_j, cob, *memo):
-        ri, ci = original(vertex_i, vertex_j, cob, *memo)
-        if any(cob is t for t in targets):
+    def tampered(cube, i, j, ri, ci):
+        if (i, j) in targets:
             first = first_entries(ci)
             ri = ri.copy()
-            ri[first] = (ri[first] + 1) % (1 << vertex_j.count)
-        maps[id(cob)] = ri, ci
-        return ri, ci
+            ri[first] = (ri[first] + 1) % (1 << cube.circle_count(j))
+            return ri, ci
 
-    monkeypatch.setattr(tqft, "_edge_columns", tampered)
+    used = tamper(monkeypatch, tampered)
     with pytest.raises(ConsistencyError) as err:
         assemble_complex(cube)
     blocks = {}
-    for (i, j), cob in cube.edges.items():
+    for (i, j), table in zip(cube.edges, used[-1]):
         dims = 1 << cube.circle_count(j), 1 << cube.circle_count(i)
-        blocks[(i, j)] = F2Matrix.from_coo(*dims, *maps[id(cob)]).to_dense()
+        blocks[(i, j)] = F2Matrix.from_coo(*dims, *table).to_dense()
     failing = naive_failing_faces(cube.n, blocks)
     assert naive_face_check(cube.n, blocks) == failing[0]
     lowest = min(v for v, _, _ in failing)
